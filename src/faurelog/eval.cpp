@@ -232,6 +232,23 @@ class FaureEvaluator {
     size_t hi = 0;
   };
 
+  /// Calls fn(r) for each row of an ascending row list that lies in
+  /// `range`. Index buckets are walked from the front; wild-row vectors
+  /// start at a binary search.
+  template <class Rows, class Fn>
+  static void forRowsIn(const Rows& rows, Range range, Fn&& fn) {
+    for (size_t r : rows) {
+      if (r >= range.hi) break;
+      if (r >= range.lo) fn(r);
+    }
+  }
+  template <class Fn>
+  static void forRowsIn(const std::vector<size_t>& rows, Range range,
+                        Fn&& fn) {
+    auto it = std::lower_bound(rows.begin(), rows.end(), range.lo);
+    for (; it != rows.end() && *it < range.hi; ++it) fn(*it);
+  }
+
   const rel::CTable* findRelation(const std::string& pred) const {
     auto it = idb_.find(pred);
     if (it != idb_.end()) return &it->second;
@@ -954,19 +971,33 @@ class FaureEvaluator {
       for (const auto& f : frames) {
         for (size_t r = range.lo; r < range.hi; ++r) extend(f, rows[r]);
       }
-    } else if (pidx != nullptr && pidx->keyArgs() == keyArgs &&
-               pidx->builtUpTo() >= range.hi) {
-      // Persistent-index probe. Bucket and wild lists are ascending, so
-      // restricting them to [lo, hi) by binary search enumerates the
-      // same rows, in the same order, as the local build below.
-      auto forRange = [&](const std::vector<size_t>& list, auto&& fn) {
-        auto first = std::lower_bound(list.begin(), list.end(), range.lo);
-        auto last = std::lower_bound(first, list.end(), range.hi);
-        for (auto it = first; it != last; ++it) fn(*it);
-      };
+    } else {
+      // Probe the persistent index when the plan supplies one covering
+      // the range, else hash the range into a per-firing index. Either
+      // way a frame meets its bucket's rows, then the wild rows (a
+      // c-variable in a key position matches any probe), each ascending
+      // and restricted to the range — the same rows in the same order.
+      const bool persistent = pidx != nullptr && pidx->keyArgs() == keyArgs &&
+                              pidx->builtUpTo() >= range.hi;
+      rel::RowIndex localRows;
+      std::vector<size_t> localWild;
+      if (!persistent) {
+        for (size_t r = range.lo; r < range.hi; ++r) {
+          size_t h = 0;
+          if (rel::JoinIndex::keyHash(rows[r].vals, keyArgs, h)) {
+            localRows.add(h, r);
+          } else {
+            localWild.push_back(r);
+          }
+        }
+      }
+      const std::vector<size_t>& wildRows =
+          persistent ? pidx->wildRows() : localWild;
       uint64_t probes = 0;
       uint64_t hits = 0;
       for (const auto& f : frames) {
+        // A probe value that is itself a c-variable matches any row value,
+        // so the index cannot be used for this frame.
         bool probeWild = false;
         size_t h = rel::JoinIndex::hashInit();
         for (size_t a : keyArgs) {
@@ -984,62 +1015,16 @@ class FaureEvaluator {
           continue;
         }
         ++probes;
-        if (const std::vector<size_t>* bucket = pidx->bucket(h)) {
-          forRange(*bucket, [&](size_t r) {
-            ++hits;
-            extend(f, rows[r]);
-          });
-        }
-        forRange(pidx->wildRows(), [&](size_t r) { extend(f, rows[r]); });
+        forRowsIn(persistent ? pidx->probe(h) : localRows.find(h), range,
+                  [&](size_t r) {
+                    ++hits;
+                    extend(f, rows[r]);
+                  });
+        forRowsIn(wildRows, range, [&](size_t r) { extend(f, rows[r]); });
       }
-      planStats_.probes.fetch_add(probes, std::memory_order_relaxed);
-      planStats_.hits.fetch_add(hits, std::memory_order_relaxed);
-    } else {
-      // Rows with a c-variable in any key position match any probe; keep
-      // them aside and hash the rest.
-      std::unordered_map<size_t, std::vector<size_t>> index;
-      std::vector<size_t> wildRows;
-      for (size_t r = range.lo; r < range.hi; ++r) {
-        bool wild = false;
-        size_t h = 0xcbf29ce484222325ULL;
-        for (size_t a : keyArgs) {
-          const Value& v = rows[r].vals[a];
-          if (v.isCVar()) {
-            wild = true;
-            break;
-          }
-          h = (h ^ v.hash()) * 1099511628211ULL;
-        }
-        if (wild) {
-          wildRows.push_back(r);
-        } else {
-          index[h].push_back(r);
-        }
-      }
-      for (const auto& f : frames) {
-        // A probe value that is itself a c-variable matches any row value,
-        // so the index cannot be used for this frame.
-        bool probeWild = false;
-        size_t h = 0xcbf29ce484222325ULL;
-        for (size_t a : keyArgs) {
-          const Pos& pos = positions[a];
-          const Value& v =
-              pos.kind == Pos::Fixed ? pos.value : f.vals[pos.slot];
-          if (v.isCVar()) {
-            probeWild = true;
-            break;
-          }
-          h = (h ^ v.hash()) * 1099511628211ULL;
-        }
-        if (probeWild) {
-          for (size_t r = range.lo; r < range.hi; ++r) extend(f, rows[r]);
-          continue;
-        }
-        auto it = index.find(h);
-        if (it != index.end()) {
-          for (size_t r : it->second) extend(f, rows[r]);
-        }
-        for (size_t r : wildRows) extend(f, rows[r]);
+      if (persistent) {
+        planStats_.probes.fetch_add(probes, std::memory_order_relaxed);
+        planStats_.hits.fetch_add(hits, std::memory_order_relaxed);
       }
     }
     frames = std::move(out);
@@ -1093,12 +1078,6 @@ class FaureEvaluator {
 
     uint64_t probes = 0;
     uint64_t hits = 0;
-    auto forRange = [](const std::vector<size_t>& list, Range range,
-                      auto&& fn) {
-      auto first = std::lower_bound(list.begin(), list.end(), range.lo);
-      auto last = std::lower_bound(first, list.end(), range.hi);
-      for (auto it = first; it != last; ++it) fn(*it);
-    };
 
     for (size_t step = 0; step < ctx.plan.order.size() && !combos.empty();
          ++step) {
@@ -1152,13 +1131,11 @@ class FaureEvaluator {
           for (const Value* v : probeVals) {
             h = rel::JoinIndex::hashStep(h, *v);
           }
-          if (const std::vector<size_t>* bucket = idx->bucket(h)) {
-            forRange(*bucket, range, [&](size_t r) {
-              ++hits;
-              tryRow(r);
-            });
-          }
-          forRange(idx->wildRows(), range, [&](size_t r) { tryRow(r); });
+          forRowsIn(idx->probe(h), range, [&](size_t r) {
+            ++hits;
+            tryRow(r);
+          });
+          forRowsIn(idx->wildRows(), range, [&](size_t r) { tryRow(r); });
         }
       }
       combos = std::move(next);

@@ -116,11 +116,13 @@ class Formula {
   /// Negation: folds constants, double negation, and comparison atoms.
   static Formula neg(const Formula& f);
 
+  /// conj({a, b}) and disj({a, b}) — the same node, built without the
+  /// argument vector (the evaluator's hot path).
   static Formula conj2(const Formula& a, const Formula& b) {
-    return conj({a, b});
+    return binary(Kind::And, a, b);
   }
   static Formula disj2(const Formula& a, const Formula& b) {
-    return disj({a, b});
+    return binary(Kind::Or, a, b);
   }
 
   Kind kind() const { return node_->kind; }
@@ -159,6 +161,10 @@ class Formula {
       : node_(std::move(node)) {}
 
   static Formula makeNode(FormulaNode node);
+  /// Finishes an And/Or over collected, flattened, deduped children:
+  /// folds complement pairs, sorts canonically, interns.
+  static Formula makeNary(Kind kind, std::vector<Formula> kids);
+  static Formula binary(Kind kind, const Formula& a, const Formula& b);
 
   std::shared_ptr<const FormulaNode> node_;
 };

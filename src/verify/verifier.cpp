@@ -37,6 +37,19 @@ Verdict RelativeVerifier::checkWithUpdate(const Constraint& target,
                                           const std::vector<Constraint>& known,
                                           const Update& u) const {
   Constraint rewritten = rewriteForUpdate(target, u);
+  auto derivesGoal = [](const Constraint& c) {
+    for (const auto& r : c.program.rules) {
+      if (r.head.pred == Constraint::kGoal) return true;
+    }
+    return false;
+  };
+  // The update can falsify every goal rule (T1's !Fw(s,v) under
+  // +Fw(s,v)): the target then cannot fire after it and holds outright.
+  if (derivesGoal(target) && !derivesGoal(rewritten)) {
+    witness_.reset();
+    degradeReason_.clear();
+    return Verdict::Holds;
+  }
   return checkSubsumption(rewritten, known);
 }
 

@@ -134,6 +134,9 @@ if [[ "${SKIP_BENCH_GATE:-0}" != 1 ]]; then
   python3 tools/bench_check.py --current build/BENCH_scenario.json \
     --baseline bench/baseline_scenario.json --family scenario \
     --tolerance 0.50 --diff-out build/bench_diff_scenario.json
+
+  echo "==> bench-gate (engine benchmark self-test)"
+  python3 perfbench/selftest.py
 fi
 
 echo "==> all green"

@@ -125,10 +125,16 @@ std::vector<std::string> Program::predicates() const {
   return out;
 }
 
-Program Program::concat(const Program& a, const Program& b) {
-  Program p = a;
-  p.rules.insert(p.rules.end(), b.rules.begin(), b.rules.end());
-  return p;
+void Program::append(const Program& other) {
+  if (&other != this) {
+    rules.insert(rules.end(), other.rules.begin(), other.rules.end());
+    return;
+  }
+  // Inserting a vector's own range is undefined; copy by index after
+  // one reserve, so no push_back reallocates under its argument.
+  size_t n = rules.size();
+  rules.reserve(2 * n);
+  for (size_t i = 0; i < n; ++i) rules.push_back(rules[i]);
 }
 
 std::string Program::toString(const CVarRegistry* reg) const {

@@ -134,8 +134,9 @@ struct Program {
   /// All predicate names, IDB and EDB.
   std::vector<std::string> predicates() const;
 
-  /// Concatenates two programs (used when checking a constraint set).
-  static Program concat(const Program& a, const Program& b);
+  /// Appends `other`'s rules after this program's, in order (used to
+  /// build the union of a constraint set). `p.append(p)` doubles `p`.
+  void append(const Program& other);
 
   std::string toString(const CVarRegistry* reg = nullptr) const;
 };

@@ -388,6 +388,9 @@ class FaureEvaluator {
     std::vector<const rel::JoinIndex*> serialIndex;
     /// Reordered path: persistent index per plan *step* (null = scan).
     std::vector<const rel::JoinIndex*> stepIndex;
+    /// Some positive literal ranges over no rows, so the join derives
+    /// nothing. No plan is chosen and no index is ensured.
+    bool joinsEmpty = false;
   };
 
   /// The static join shape of rule `ri`, computed once and cached.
@@ -421,29 +424,37 @@ class FaureEvaluator {
   /// every index it will probe. Returns null when planning is off or
   /// the rule has nothing to plan (the caller falls back to the
   /// pristine path, which also owns error reporting for unknown
-  /// relations). Engine thread only.
+  /// relations). A firing with an empty positive range comes back
+  /// marked joinsEmpty and unplanned. Engine thread only.
   std::unique_ptr<PlanContext> planFor(
       size_t ri, const Rule& rule, size_t deltaPos,
       const std::unordered_map<std::string, size_t>& deltaStart,
       const std::unordered_map<std::string, size_t>& fullEnd,
       const std::set<std::string>& thisStratum) {
     if (planMode_ == PlanMode::Off) return nullptr;
-    const RuleShape& shape = ruleShape(ri, rule);
-    if (shape.lits.empty()) return nullptr;
+    // Walks the positive literals in body order, the order of
+    // RuleShape::lits, so an empty firing returns before the shape is
+    // analyzed.
     auto ctx = std::make_unique<PlanContext>();
-    ctx->shape = &shape;
     std::vector<LitStats> litStats;
-    litStats.reserve(shape.lits.size());
-    for (size_t lp = 0; lp < shape.lits.size(); ++lp) {
-      const dl::Literal& lit = rule.body[shape.lits[lp].body];
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      const dl::Literal& lit = rule.body[i];
+      if (lit.negated) continue;
       const rel::CTable* table = findRelation(lit.atom.pred);
       if (table == nullptr) return nullptr;  // pristine path reports it
-      Range range = rangeFor(lit.atom.pred, deltaPos, shape.lits[lp].body,
-                             deltaStart, fullEnd, thisStratum, *table);
+      Range range = rangeFor(lit.atom.pred, deltaPos, i, deltaStart, fullEnd,
+                             thisStratum, *table);
+      if (range.lo == range.hi) ctx->joinsEmpty = true;
+      if (i == deltaPos) ctx->deltaLit = ctx->tables.size();
       litStats.push_back(LitStats{table, range.hi - range.lo});
       ctx->tables.push_back(table);
-      if (shape.lits[lp].body == deltaPos) ctx->deltaLit = lp;
     }
+    // Checked only once every positive relation resolved, so an unknown
+    // one still reaches the pristine path's error.
+    if (ctx->joinsEmpty) return ctx;
+    const RuleShape& shape = ruleShape(ri, rule);
+    if (shape.lits.empty()) return nullptr;
+    ctx->shape = &shape;
     ctx->plan = planRule(shape, ctx->deltaLit, litStats);
     ++planStats_.plans;
     if (ctx->plan.reordered) ++planStats_.reorders;
@@ -576,6 +587,10 @@ class FaureEvaluator {
     }
     std::unique_ptr<PlanContext> pctx =
         planFor(ri, rule, deltaPos, deltaStart, fullEnd, thisStratum);
+    if (pctx != nullptr && pctx->joinsEmpty) {
+      curRule_ = nullptr;
+      return false;
+    }
     std::vector<Candidate> cands = collectCandidates(
         rule, deltaPos, deltaStart, fullEnd, thisStratum, SIZE_MAX, Range{},
         tracer_, pctx.get());

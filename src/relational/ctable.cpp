@@ -23,15 +23,6 @@ void JoinIndex::extend(const std::vector<Row>& rows) {
   builtUpTo_ = rows.size();
 }
 
-const std::vector<size_t>* JoinIndex::bucket(size_t h) const {
-  RowIndex::Bucket b = rows_.find(h);
-  if (b.empty()) return nullptr;
-  std::vector<size_t>& copy = bucketCopies_[h];
-  copy.clear();
-  for (size_t r : b) copy.push_back(r);
-  return &copy;
-}
-
 void JoinIndex::remap(const std::vector<size_t>& oldToNew) {
   rows_.remap(oldToNew);
   size_t out = 0;
@@ -225,7 +216,10 @@ std::string CTable::toString(const CVarRegistry* reg) const {
       if (i > 0) out += "\t";
       out += row.vals[i].toString(reg);
     }
-    if (!row.cond.isTrue()) out += "\t| " + row.cond.toString(reg);
+    if (!row.cond.isTrue()) {
+      out += "\t| ";
+      row.cond.appendTo(out, reg);
+    }
     out += "\n";
   }
   return out;

@@ -115,12 +115,6 @@ class JoinIndex {
 
   /// Rows hashing to `h` (ascending); empty when there are none.
   RowIndex::Bucket probe(size_t h) const { return rows_.find(h); }
-  /// probe(h) copied into a vector, or null when the bucket is empty.
-  /// For tests and diagnostics; evaluation iterates probe(h). Each hash
-  /// keeps its own copy, refreshed by every call for that hash, so the
-  /// pointers returned for different hashes never share storage. Not
-  /// safe to call from several threads at once.
-  const std::vector<size_t>* bucket(size_t h) const;
   /// Rows with a c-variable in a key column (ascending).
   const std::vector<size_t>& wildRows() const { return wild_; }
 
@@ -140,7 +134,6 @@ class JoinIndex {
   RowIndex rows_;
   std::vector<size_t> wild_;
   size_t builtUpTo_ = 0;
-  mutable std::map<size_t, std::vector<size_t>> bucketCopies_;
 };
 
 /// One conditional tuple: the data part plus its condition.

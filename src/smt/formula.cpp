@@ -432,33 +432,53 @@ Formula Formula::neg(const Formula& f) {
 }
 
 std::string Formula::toString(const CVarRegistry* reg) const {
+  std::string out;
+  appendTo(out, reg);
+  return out;
+}
+
+void Formula::appendTo(std::string& out, const CVarRegistry* reg) const {
   const auto& n = node();
   switch (n.kind) {
     case Kind::True:
-      return "true";
+      out += "true";
+      return;
     case Kind::False:
-      return "false";
+      out += "false";
+      return;
     case Kind::Cmp:
-      return n.lhs.toString(reg) + " " + std::string(opText(n.op)) + " " +
-             n.rhs.toString(reg);
+      out += n.lhs.toString(reg);
+      out += ' ';
+      out += opText(n.op);
+      out += ' ';
+      out += n.rhs.toString(reg);
+      return;
     case Kind::Lin:
-      return n.lin.toString(reg) + " " + std::string(opText(n.op)) + " 0";
+      out += n.lin.toString(reg);
+      out += ' ';
+      out += opText(n.op);
+      out += " 0";
+      return;
     case Kind::Not:
-      return "!(" + n.kids[0].toString(reg) + ")";
+      out += "!(";
+      n.kids[0].appendTo(out, reg);
+      out += ')';
+      return;
     case Kind::And:
     case Kind::Or: {
-      std::string sep = n.kind == Kind::And ? " & " : " | ";
-      std::string out;
+      const char* sep = n.kind == Kind::And ? " & " : " | ";
       for (size_t i = 0; i < n.kids.size(); ++i) {
         if (i > 0) out += sep;
         const auto& k = n.kids[i];
         bool paren = k.kind() == Kind::And || k.kind() == Kind::Or;
-        out += paren ? "(" + k.toString(reg) + ")" : k.toString(reg);
+        if (paren) out += '(';
+        k.appendTo(out, reg);
+        if (paren) out += ')';
       }
-      return out;
+      return;
     }
   }
-  return "?";
+  out += '?';
 }
 
 namespace {

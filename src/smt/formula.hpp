@@ -152,6 +152,9 @@ class Formula {
 
   /// Renders in the paper's notation, e.g. "x_ = [ABC] | x_ = [ADEC]".
   std::string toString(const CVarRegistry* reg = nullptr) const;
+  /// Appends toString(reg) to `out`, with no intermediate string per
+  /// subformula.
+  void appendTo(std::string& out, const CVarRegistry* reg = nullptr) const;
 
   /// Collects all c-variables occurring in the formula into `out`.
   void collectVars(std::vector<CVarId>& out) const;

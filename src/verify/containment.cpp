@@ -199,10 +199,13 @@ SubsumptionResult subsumes(const Constraint& target,
                            const std::vector<Constraint>& constraints,
                            const CVarRegistry& srcReg,
                            const SubsumptionOptions& opts) {
+  // Built once, in constraint order: every goal rule below evaluates
+  // the same union.
   dl::Program constraintUnion;
-  for (const auto& c : constraints) {
-    constraintUnion = dl::Program::concat(constraintUnion, c.program);
-  }
+  size_t unionRules = 0;
+  for (const auto& c : constraints) unionRules += c.program.rules.size();
+  constraintUnion.rules.reserve(unionRules);
+  for (const auto& c : constraints) constraintUnion.append(c.program);
   std::vector<Rule> flat =
       unfoldGoalRules(target.program, Constraint::kGoal, opts.maxUnfoldRules);
 

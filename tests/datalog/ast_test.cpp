@@ -67,13 +67,28 @@ TEST(AstTest, ProgramPredicateHelpers) {
   EXPECT_EQ(preds.size(), 5u);  // A B E F G
 }
 
-TEST(AstTest, ProgramConcat) {
+TEST(AstTest, ProgramAppend) {
   CVarRegistry reg;
   Program a = parseProgram("A(x) :- E(x).\n", reg);
-  Program b = parseProgram("B(x) :- F(x).\n", reg);
-  Program c = Program::concat(a, b);
-  EXPECT_EQ(c.rules.size(), 2u);
-  EXPECT_EQ(a.rules.size(), 1u);  // inputs untouched
+  Program b = parseProgram("B(x) :- F(x).\nC(x) :- G(x).\n", reg);
+  a.append(b);
+  ASSERT_EQ(a.rules.size(), 3u);
+  EXPECT_EQ(a.rules[0].head.pred, "A");  // rule order kept
+  EXPECT_EQ(a.rules[1].head.pred, "B");
+  EXPECT_EQ(a.rules[2].head.pred, "C");
+  EXPECT_EQ(b.rules.size(), 2u);  // argument untouched
+}
+
+TEST(AstTest, ProgramAppendSelfDoubles) {
+  CVarRegistry reg;
+  Program p = parseProgram("A(x) :- E(x).\nB(x) :- A(x), F(x).\n", reg);
+  std::string once = p.toString(&reg);
+  p.append(p);
+  ASSERT_EQ(p.rules.size(), 4u);
+  EXPECT_EQ(p.toString(&reg), once + once);
+  Program empty;
+  empty.append(empty);
+  EXPECT_TRUE(empty.rules.empty());
 }
 
 TEST(AstTest, ProgramToStringReparses) {

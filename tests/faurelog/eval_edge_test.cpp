@@ -3,6 +3,8 @@
 
 #include "datalog/parser.hpp"
 #include "faurelog/eval.hpp"
+#include "obs/trace.hpp"
+#include "smt/solver.hpp"
 #include "util/error.hpp"
 
 namespace faure::fl {
@@ -197,6 +199,104 @@ TEST_F(EvalEdgeTest, OrderedComparisonOnSymbolsThrows) {
   auto& e = db_.create(anySchema("E", 2));
   e.insertConcrete({Value::sym("A"), Value::sym("B")});
   EXPECT_THROW(evalFaure(parse("Q(x,y) :- E(x,y), x < y."), db_), TypeError);
+}
+
+// A firing with an empty positive relation is not planned (DESIGN.md
+// §11); the next four pin what that skip must leave unchanged.
+
+TEST_F(EvalEdgeTest, RuleOverEmptyEdbRelationDerivesNothing) {
+  db_.create(anySchema("E", 1));
+  auto& f = db_.create(anySchema("F", 1));
+  f.insertConcrete({Value::fromInt(1)});
+  for (PlanMode mode : {PlanMode::Off, PlanMode::On}) {
+    smt::NativeSolver solver(db_.cvars());
+    EvalOptions opts;
+    opts.plan = mode;
+    auto res = evalFaure(parse("H(x) :- F(x), E(x).\n"), db_, &solver, opts);
+    EXPECT_EQ(res.relation("H").size(), 0u);
+    EXPECT_EQ(res.stats.derivations, 0u);
+  }
+}
+
+TEST_F(EvalEdgeTest, UnknownRelationBeforeEmptyOneStillThrows) {
+  db_.create(anySchema("E", 1));
+  try {
+    evalFaure(parse("H(x) :- Missing(x), E(x).\n"), db_);
+    FAIL() << "expected EvalError";
+  } catch (const EvalError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown relation 'Missing'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(EvalEdgeTest, RecursiveRuleWhoseDeltaEmptiesKeepsItsTable) {
+  // A and B share a stratum. B stops growing after the first round, so
+  // from the second round on the firing with its delta at B(z,y) has an
+  // empty range, while the one with its delta at A(x,z) keeps deriving.
+  CVarId x = db_.cvars().declareInt("x_", 0, 1);
+  Formula cond = Formula::cmp(Value::cvar(x), CmpOp::Eq, Value::fromInt(1));
+  auto& e = db_.create(anySchema("E", 2));
+  e.insertConcrete({Value::fromInt(0), Value::fromInt(1)});
+  auto& f = db_.create(anySchema("F", 2));
+  for (int i = 1; i < 6; ++i) {
+    f.append({Value::fromInt(i), Value::fromInt(i + 1)},
+             i == 5 ? cond : Formula::top());
+  }
+  const char* program =
+      "A(x,y) :- E(x,y).\n"
+      "B(x,y) :- F(x,y).\n"
+      "A(x,y) :- A(x,z), B(z,y).\n";
+  for (PlanMode mode : {PlanMode::Off, PlanMode::On}) {
+    smt::NativeSolver solver(db_.cvars());
+    EvalOptions opts;
+    opts.plan = mode;
+    auto res = evalFaure(parse(program), db_, &solver, opts);
+    const rel::CTable& a = res.relation("A");
+    ASSERT_EQ(a.size(), 6u);
+    for (int y = 1; y <= 6; ++y) {
+      EXPECT_EQ(a.conditionOf({Value::fromInt(0), Value::fromInt(y)}),
+                y == 6 ? cond : Formula::top())
+          << y;
+    }
+    EXPECT_EQ(res.relation("B").size(), 5u);
+    EXPECT_EQ(res.stats.derivations, 12u);  // (0,2) twice in round 2
+    EXPECT_EQ(res.stats.iterations, 7u);
+  }
+}
+
+TEST_F(EvalEdgeTest, TracedEmptyFiringKeepsRuleEntriesButIsNotPlanned) {
+  auto& f = db_.create(anySchema("F", 2));
+  f.insertConcrete({Value::fromInt(1), Value::fromInt(2)});
+  db_.create(anySchema("E", 1));
+  obs::Tracer tracer;
+  smt::NativeSolver solver(db_.cvars());
+  EvalOptions opts;
+  opts.tracer = &tracer;
+  opts.plan = PlanMode::On;
+  auto res = evalFaure(parse("H(x) :- F(x, y), E(y).\n"), db_, &solver, opts);
+  EXPECT_EQ(res.relation("H").size(), 0u);
+  bool sawRuleSpan = false;
+  for (const auto& span : tracer.spans()) {
+    if (span.name == "rule[0:H]") sawRuleSpan = true;
+  }
+  EXPECT_TRUE(sawRuleSpan);
+  obs::MetricsSnapshot snap = tracer.metrics().snapshot();
+  for (const char* name :
+       {"eval.rule[0:H].derivations", "eval.rule[0:H].inserted",
+        "eval.rule[0:H].pruned_unsat", "eval.rule[0:H].subsumed"}) {
+    bool present = false;
+    for (const auto& [key, value] : snap.counters) {
+      if (key == name) {
+        present = true;
+        EXPECT_EQ(value, 0u) << name;
+      }
+    }
+    EXPECT_TRUE(present) << name;
+  }
+  // The firing over the empty E is neither planned nor indexed.
+  EXPECT_EQ(snap.counter("eval.plan.plans"), 0u);
+  EXPECT_EQ(snap.counter("eval.plan.index_builds"), 0u);
 }
 
 }  // namespace

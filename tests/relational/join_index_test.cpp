@@ -26,6 +26,12 @@ class JoinIndexTest : public ::testing::Test {
   static size_t hashOf(const Value& val) {
     return JoinIndex::hashStep(JoinIndex::hashInit(), val);
   }
+  // The rows probe(h) enumerates, in order; empty when the bucket is.
+  static std::vector<size_t> bucketRows(const JoinIndex& idx, size_t h) {
+    std::vector<size_t> out;
+    for (size_t r : idx.probe(h)) out.push_back(r);
+    return out;
+  }
 };
 
 TEST_F(JoinIndexTest, LazyBuildBucketsByKeyColumn) {
@@ -38,13 +44,10 @@ TEST_F(JoinIndexTest, LazyBuildBucketsByKeyColumn) {
   EXPECT_EQ(idx.builtUpTo(), 3u);
   EXPECT_EQ(idx.indexedRows(), 3u);
   EXPECT_EQ(idx.wildCount(), 0u);
-  const std::vector<size_t>* b10 = idx.bucket(hashOf(v(10)));
-  ASSERT_NE(b10, nullptr);
-  EXPECT_EQ(*b10, (std::vector<size_t>{0, 1}));  // ascending
-  const std::vector<size_t>* b20 = idx.bucket(hashOf(v(20)));
-  ASSERT_NE(b20, nullptr);
-  EXPECT_EQ(*b20, (std::vector<size_t>{2}));
-  EXPECT_EQ(idx.bucket(hashOf(v(99))), nullptr);
+  EXPECT_EQ(bucketRows(idx, hashOf(v(10))),
+            (std::vector<size_t>{0, 1}));  // ascending
+  EXPECT_EQ(bucketRows(idx, hashOf(v(20))), (std::vector<size_t>{2}));
+  EXPECT_TRUE(bucketRows(idx, hashOf(v(99))).empty());
   EXPECT_EQ(t.joinIndexCount(), 1u);
 }
 
@@ -60,8 +63,8 @@ TEST_F(JoinIndexTest, WatermarkExtensionCoversOnlyNewRows) {
   EXPECT_EQ(stale->builtUpTo(), 1u);
   const JoinIndex& idx = t.ensureJoinIndex({1});
   EXPECT_EQ(idx.builtUpTo(), 3u);
-  EXPECT_EQ(*idx.bucket(hashOf(v(10))), (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(*idx.bucket(hashOf(v(30))), (std::vector<size_t>{2}));
+  EXPECT_EQ(bucketRows(idx, hashOf(v(10))), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(bucketRows(idx, hashOf(v(30))), (std::vector<size_t>{2}));
 }
 
 TEST_F(JoinIndexTest, CVarKeyColumnsLandInWildRows) {
@@ -94,8 +97,8 @@ TEST_F(JoinIndexTest, PruneIfRemapsAllIndexesInPlace) {
   ASSERT_NE(idx, nullptr);
   // Old rows {0,2,4} (b=0) -> new {0,1,2}; old {5} (b=1) -> {3}; the
   // wild row 6 -> 4. The watermark still covers the whole table.
-  EXPECT_EQ(*idx->bucket(hashOf(v(0))), (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(*idx->bucket(hashOf(v(1))), (std::vector<size_t>{3}));
+  EXPECT_EQ(bucketRows(*idx, hashOf(v(0))), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(bucketRows(*idx, hashOf(v(1))), (std::vector<size_t>{3}));
   EXPECT_EQ(idx->wildRows(), (std::vector<size_t>{4}));
   EXPECT_EQ(idx->builtUpTo(), t.size());
   EXPECT_EQ(idx->indexedRows(), 4u);
@@ -109,8 +112,8 @@ TEST_F(JoinIndexTest, EmptiedBucketsAreErased) {
   t.eraseWithData({v(1), v(10)});
   const JoinIndex* idx = t.findJoinIndex({1});
   ASSERT_NE(idx, nullptr);
-  EXPECT_EQ(idx->bucket(hashOf(v(10))), nullptr);
-  EXPECT_EQ(*idx->bucket(hashOf(v(20))), (std::vector<size_t>{0}));
+  EXPECT_TRUE(bucketRows(*idx, hashOf(v(10))).empty());
+  EXPECT_EQ(bucketRows(*idx, hashOf(v(20))), (std::vector<size_t>{0}));
   EXPECT_EQ(idx->builtUpTo(), 1u);
 }
 

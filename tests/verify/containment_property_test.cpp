@@ -76,5 +76,46 @@ TEST(ContainmentAgreementFixed, PositiveHoldingPairProduced) {
                    .subsumed);
 }
 
+// The constraint union (DESIGN.md §5) concatenates the library's rules
+// in constraint order, so constraints that share an IDB predicate name
+// extend one another's definitions: here only C3 derives panic, from
+// the Bad rules of C1 and C2.
+std::vector<Constraint> sharedIdbLibrary(CVarRegistry& reg) {
+  return {
+      Constraint{"c1", dl::parseProgram("Bad(x) :- R0(x, CS, v).\n"
+                                        "panic :- Bad(x), R1(x, x, x).\n",
+                                        reg)},
+      Constraint{"c2", dl::parseProgram("Bad(x) :- R0(x, GS, v).\n", reg)},
+      Constraint{"c3", dl::parseProgram("panic :- Bad(x).\n", reg)},
+  };
+}
+
+TEST(ConstraintUnion, SharedIdbNamesCoverAcrossConstraints) {
+  CVarRegistry reg;
+  dl::Program target = dl::parseProgram(
+      "panic :- R0(Mkt, CS, v).\n"
+      "panic :- R0(y, GS, Web).\n",
+      reg);
+  SubsumptionResult r =
+      subsumes(Constraint{"t", target}, sharedIdbLibrary(reg), reg);
+  EXPECT_TRUE(r.subsumed);
+  EXPECT_FALSE(r.incomplete);
+}
+
+TEST(ConstraintUnion, SharedIdbNamesReportFirstUncoveredRule) {
+  CVarRegistry reg;
+  dl::Program target = dl::parseProgram(
+      "panic :- R0(x, CS, v).\n"
+      "panic :- R0(x, Web, v).\n"
+      "panic :- R0(x, GS, v).\n",
+      reg);
+  SubsumptionResult r =
+      subsumes(Constraint{"t", target}, sharedIdbLibrary(reg), reg);
+  EXPECT_FALSE(r.subsumed);
+  EXPECT_FALSE(r.incomplete);
+  EXPECT_EQ(r.uncoveredRule, 1u);
+  EXPECT_EQ(r.witness.toString(&reg), "panic :- R0(x, Web, v).");
+}
+
 }  // namespace
 }  // namespace faure::verify

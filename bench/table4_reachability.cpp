@@ -14,23 +14,14 @@
 // 100000 (a few minutes) — the 922067-prefix point needs more memory
 // than a CI box and is reported as extrapolation in EXPERIMENTS.md.
 // FAURE_TABLE4_SIZES=10,20 overrides the size list entirely (CI smoke).
-//
-// Thread sweep: each size also runs under the parallel engine
-// (EvalOptions::threads; DESIGN.md §7) for every count in
-// FAURE_TABLE4_THREADS (default "1,4"). Thread count 1 is the paper
-// row and the speedup baseline; other counts add
-// `table4[N].threads[T].*` gauges and a `table4[N].speedup[T]` gauge
-// (serial wall / threaded wall) to the run report. Each (size,threads)
-// run regenerates the RIB so no run sees a predecessor's derived
+// Every run regenerates the RIB so no run sees a predecessor's derived
 // tables.
 //
-// Solver verdict cache: every (size,threads) run attaches a fresh
-// VerdictCache sized by FAURE_SOLVER_CACHE (0 disables). The serial row
-// records `table4[N].solver.cache.{hits,misses,evictions}` plus
+// Solver verdict cache: each size's row attaches a fresh VerdictCache
+// sized by FAURE_SOLVER_CACHE (0 disables). The row records `table4[N].solver.cache.{hits,misses,evictions}` plus
 // `table4[N].solver_checks_{logical,physical}` (physical = logical -
 // hits: a hit replays a verdict without running the decision
-// procedure), and each size gets one extra cache-off serial pass
-// recorded as `table4[N].nocache.wall_seconds` so the gated baseline
+// procedure), and each size gets one extra cache-off pass recorded as `table4[N].nocache.wall_seconds` so the gated baseline
 // (tools/bench_check.py) tracks both configurations.
 //
 // Resource governance: the FAURE_DEADLINE / FAURE_MAX_* / FAURE_FAIL_AFTER
@@ -119,24 +110,6 @@ void recordRow(obs::Registry& reg, size_t n, const net::Table4Result& r,
   reg.gauge(base + "wall_seconds").set(wallSeconds);
 }
 
-/// Records a threaded repeat of one size under
-/// `table4[N].threads[T].*`, plus the serial-relative speedup.
-void recordThreadedRow(obs::Registry& reg, size_t n, unsigned threads,
-                       const net::Table4Result& r, double wallSeconds,
-                       double serialWallSeconds) {
-  const std::string base = "table4[" + std::to_string(n) + "].threads[" +
-                           std::to_string(threads) + "].";
-  reg.gauge(base + "wall_seconds").set(wallSeconds);
-  reg.gauge(base + "solver_seconds")
-      .set(r.q45.solverSeconds + r.q6.solverSeconds + r.q7.solverSeconds +
-           r.q8.solverSeconds);
-  if (serialWallSeconds > 0.0 && wallSeconds > 0.0) {
-    reg.gauge("table4[" + std::to_string(n) + "].speedup[" +
-              std::to_string(threads) + "]")
-        .set(serialWallSeconds / wallSeconds);
-  }
-}
-
 std::vector<size_t> parseList(const char* text) {
   std::vector<size_t> out;
   for (const char* p = text; *p != '\0';) {
@@ -165,13 +138,6 @@ int main() {
     if (sizes.empty()) sizes = {1000, 10000};
   }
 
-  std::vector<size_t> threadCounts = {1, 4};
-  if (const char* list = std::getenv("FAURE_TABLE4_THREADS");
-      list != nullptr && list[0] != '\0') {
-    threadCounts = parseList(list);
-    if (threadCounts.empty()) threadCounts = {1};
-  }
-
   obs::Tracer tracer;
   bool traceOn = true;
   if (const char* t = std::getenv("FAURE_BENCH_TRACE");
@@ -187,11 +153,8 @@ int main() {
   const size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
   util::Stopwatch watch;
   for (size_t n : sizes) {
-    double serialWall = 0.0;
-    for (size_t threads : threadCounts) {
-      // Fresh state per (size, threads): a previous run stored its
-      // derived R/T1/T2/T3 back into the database, which would seed —
-      // and skew — a repeat on the same instance.
+    double cachedWall = 0.0;
+    {
       net::RibConfig cfg;
       cfg.numPrefixes = n;
       rel::Database db;
@@ -204,7 +167,6 @@ int main() {
       }
       ResourceGuard guard(limits);
       fl::EvalOptions opts;
-      opts.threads = static_cast<unsigned>(threads);
       if (traceOn) opts.tracer = &tracer;
       if (guard.active()) {
         opts.guard = &guard;
@@ -217,58 +179,41 @@ int main() {
       }
       net::Table4Result r;
       {
-        std::string tag = "table4[size=" + std::to_string(n) + "]";
-        if (threads != 1) tag += "[threads=" + std::to_string(threads) + "]";
-        obs::Span span(opts.tracer, tag);
+        obs::Span span(opts.tracer, "table4[size=" + std::to_string(n) + "]");
         watch.lap();
         r = net::runTable4(db, rib, solver, opts);
       }
-      double wall = watch.lap();
-      if (threads == 1) {
-        serialWall = wall;
-        if (traceOn) recordRow(tracer.metrics(), n, r, wall);
-        std::printf("%s\n", net::formatTable4Row(n, r).c_str());
-        if (cache != nullptr) {
-          // Serial accounting: every cache hit is one logical check that
-          // skipped the decision procedure, so physical = logical - hits.
-          const smt::VerdictCache::Stats cs = cache->stats();
-          const uint64_t logical = solver.stats().checks;
-          const uint64_t physical = logical - cs.hits;
-          std::printf(
-              "%9s cache: %llu/%llu physical/logical checks, %llu hits, "
-              "%llu misses, %llu evictions\n",
-              "", static_cast<unsigned long long>(physical),
-              static_cast<unsigned long long>(logical),
-              static_cast<unsigned long long>(cs.hits),
-              static_cast<unsigned long long>(cs.misses),
-              static_cast<unsigned long long>(cs.evictions));
-          if (traceOn) {
-            obs::Registry& reg = tracer.metrics();
-            const std::string base = "table4[" + std::to_string(n) + "].";
-            reg.gauge(base + "solver.cache.hits")
-                .set(static_cast<double>(cs.hits));
-            reg.gauge(base + "solver.cache.misses")
-                .set(static_cast<double>(cs.misses));
-            reg.gauge(base + "solver.cache.evictions")
-                .set(static_cast<double>(cs.evictions));
-            reg.gauge(base + "solver_checks_logical")
-                .set(static_cast<double>(logical));
-            reg.gauge(base + "solver_checks_physical")
-                .set(static_cast<double>(physical));
-          }
-        }
-      } else {
+      cachedWall = watch.lap();
+      if (traceOn) recordRow(tracer.metrics(), n, r, cachedWall);
+      std::printf("%s\n", net::formatTable4Row(n, r).c_str());
+      if (cache != nullptr) {
+        // Every cache hit is one logical check that skipped the
+        // decision procedure, so physical = logical - hits.
+        const smt::VerdictCache::Stats cs = cache->stats();
+        const uint64_t logical = solver.stats().checks;
+        const uint64_t physical = logical - cs.hits;
+        std::printf(
+            "%9s cache: %llu/%llu physical/logical checks, %llu hits, "
+            "%llu misses, %llu evictions\n",
+            "", static_cast<unsigned long long>(physical),
+            static_cast<unsigned long long>(logical),
+            static_cast<unsigned long long>(cs.hits),
+            static_cast<unsigned long long>(cs.misses),
+            static_cast<unsigned long long>(cs.evictions));
         if (traceOn) {
-          recordThreadedRow(tracer.metrics(), n,
-                            static_cast<unsigned>(threads), r, wall,
-                            serialWall);
+          obs::Registry& reg = tracer.metrics();
+          const std::string base = "table4[" + std::to_string(n) + "].";
+          reg.gauge(base + "solver.cache.hits")
+              .set(static_cast<double>(cs.hits));
+          reg.gauge(base + "solver.cache.misses")
+              .set(static_cast<double>(cs.misses));
+          reg.gauge(base + "solver.cache.evictions")
+              .set(static_cast<double>(cs.evictions));
+          reg.gauge(base + "solver_checks_logical")
+              .set(static_cast<double>(logical));
+          reg.gauge(base + "solver_checks_physical")
+              .set(static_cast<double>(physical));
         }
-        std::printf("%s   (threads=%zu", net::formatTable4Row(n, r).c_str(),
-                    threads);
-        if (serialWall > 0.0 && wall > 0.0) {
-          std::printf(", %.2fx vs serial", serialWall / wall);
-        }
-        std::printf(")\n");
       }
       if (guard.active()) {
         std::printf(
@@ -281,8 +226,8 @@ int main() {
       std::fflush(stdout);
     }
 
-    // Cache-off serial control: same size, no VerdictCache, so the
-    // report carries both configurations for the gated baseline.
+    // Cache-off control: same size, no VerdictCache, so the report
+    // carries both configurations for the gated baseline.
     if (cacheEntries > 0) {
       net::RibConfig cfg;
       cfg.numPrefixes = n;
@@ -291,7 +236,6 @@ int main() {
       smt::NativeSolver solver(db.cvars());
       ResourceGuard guard(limits);
       fl::EvalOptions opts;
-      opts.threads = 1;
       if (traceOn) opts.tracer = &tracer;
       if (guard.active()) {
         opts.guard = &guard;
@@ -315,8 +259,8 @@ int main() {
             .set(static_cast<double>(solver.stats().checks));
       }
       std::printf("%s   (cache off", net::formatTable4Row(n, r).c_str());
-      if (serialWall > 0.0 && wall > 0.0) {
-        std::printf(", cached serial is %.2fx", wall / serialWall);
+      if (cachedWall > 0.0 && wall > 0.0) {
+        std::printf(", cached is %.2fx", wall / cachedWall);
       }
       std::printf(")\n");
       std::fflush(stdout);
@@ -334,12 +278,6 @@ int main() {
       sizeList += std::to_string(n);
     }
     meta.add("sizes", sizeList);
-    std::string threadList;
-    for (size_t t : threadCounts) {
-      if (!threadList.empty()) threadList += ",";
-      threadList += std::to_string(t);
-    }
-    meta.add("threads", threadList);
     meta.add("solver_cache", std::to_string(cacheEntries));
     std::ofstream out(jsonPath);
     if (out) {

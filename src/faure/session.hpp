@@ -40,12 +40,6 @@ class Session {
   /// Evaluation defaults applied by run()/check().
   fl::EvalOptions& options() { return opts_; }
 
-  /// Parallel evaluation for subsequent run() calls: total evaluation
-  /// threads (0 = hardware concurrency, 1 = serial). Results are
-  /// bit-identical for every setting (DESIGN.md §7); only wall-clock
-  /// and the eval.par.* metrics change. Shorthand for options().threads.
-  void setThreads(unsigned n) { opts_.threads = n; }
-
   /// Cost-based join planning for subsequent run() calls (DESIGN.md
   /// §11): PlanMode::On reorders body literals by estimated selectivity
   /// and probes persistent c-table indexes, PlanMode::Off runs the

@@ -83,15 +83,6 @@ ScenarioSet::ScenarioSet(dl::Program program, rel::Database base,
   makeForkSolver();
 }
 
-EvalOptions ScenarioSet::innerOpts() const {
-  EvalOptions o = opts_.eval;
-  // Scenario-level parallelism subsumes the inner pool; results are
-  // byte-identical at any inner thread count (DESIGN.md §7), so pin
-  // serial and never nest pools.
-  o.threads = 1;
-  return o;
-}
-
 std::unique_ptr<smt::SolverBase> ScenarioSet::makeForkSolver() {
   std::unique_ptr<smt::SolverBase> solver;
   if (opts_.solverName == "z3") {
@@ -118,7 +109,7 @@ const EvalResult& ScenarioSet::prepare() {
   obs::Span span(opts_.eval.tracer, "serve.prepare");
   auto solver = makeForkSolver();
   ResourceGuard guard(opts_.limits);
-  EvalOptions eopts = innerOpts();
+  EvalOptions eopts = opts_.eval;
   if (guard.active()) {
     eopts.guard = &guard;
     solver->setGuard(&guard);
@@ -164,7 +155,7 @@ ScenarioOutcome ScenarioSet::evaluateOne(const Scenario& s) {
   if (edits.empty()) return out;  // epoch 0 only — served from the snapshot
   auto solver = makeForkSolver();
   ResourceGuard guard(opts_.limits);
-  EvalOptions eopts = innerOpts();
+  EvalOptions eopts = opts_.eval;
   if (guard.active()) {
     eopts.guard = &guard;
     solver->setGuard(&guard);
@@ -213,9 +204,7 @@ std::vector<ScenarioOutcome> ScenarioSet::evaluate(
       out[i].message = e.what();
     }
   };
-  EvalOptions widthProbe;
-  widthProbe.threads = opts_.eval.threads;
-  size_t width = std::min(resolveThreads(widthProbe), scenarios.size());
+  size_t width = std::min(resolveThreads(opts_.eval), scenarios.size());
   if (width <= 1) {
     for (size_t i = 0; i < scenarios.size(); ++i) runOne(i);
   } else {

@@ -73,10 +73,8 @@ struct ScenarioOutcome {
 
 struct ScenarioSetOptions {
   /// Inner evaluation defaults (tracer, plan mode, …). `eval.threads`
-  /// is reinterpreted as the scenario fan-out width (0 = hardware
-  /// concurrency, unset = FAURE_THREADS, else serial); the per-scenario
-  /// evaluation itself is pinned serial — scenario-level parallelism
-  /// subsumes the inner pool, and results are byte-identical either way.
+  /// is the scenario fan-out width (0 = hardware concurrency, unset =
+  /// FAURE_THREADS, else 1); each scenario's evaluation is serial.
   EvalOptions eval;
   /// Per-scenario resource governance: every scenario arms its own
   /// guard from these limits, re-armed per epoch like one CLI run.
@@ -131,7 +129,6 @@ class ScenarioSet {
   const rel::Database& base() const { return *base_; }
 
  private:
-  EvalOptions innerOpts() const;
   std::unique_ptr<smt::SolverBase> makeForkSolver();
   ScenarioOutcome evaluateOne(const Scenario& s);
 

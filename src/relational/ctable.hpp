@@ -220,8 +220,8 @@ class CTable {
   /// The index keyed on `keyArgs` (attribute positions, ascending),
   /// created on first use and extended to cover all current rows.
   /// NOT thread-safe against concurrent CTable access: the evaluator
-  /// calls this only from its engine thread, before worker phases that
-  /// probe the returned (node-stable) reference.
+  /// ensures every index a firing needs before it probes the returned
+  /// (node-stable) references.
   const JoinIndex& ensureJoinIndex(const std::vector<size_t>& keyArgs) const;
 
   /// The index keyed on `keyArgs` if it exists (possibly stale — check
@@ -242,10 +242,9 @@ class CTable {
   // data-part hash -> row indices, for O(1) merge on insert.
   RowIndex index_;
   // key-column set -> secondary index. Ordered map for deterministic
-  // iteration and node stability (worker threads hold JoinIndex
-  // references across a round while the engine thread may create other
-  // entries between rounds). Mutable: a cache over rows_, maintained
-  // from const accessors.
+  // iteration and node stability (a planned firing holds JoinIndex
+  // references while it ensures indexes on other key-sets). Mutable: a
+  // cache over rows_, maintained from const accessors.
   mutable std::map<std::vector<size_t>, JoinIndex> joinIndexes_;
 };
 

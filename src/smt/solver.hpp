@@ -77,16 +77,6 @@ class SolverBase {
   /// True when a ⟺ b is certain.
   bool equivalent(const Formula& a, const Formula& b);
 
-  /// Accounts a check whose verdict was computed elsewhere (by a
-  /// SolverPool worker during parallel evaluation): charges this
-  /// solver's guard exactly as a local check() would — a tripped
-  /// solver-check budget degrades the verdict to Unknown — and records
-  /// stats and registry mirrors as if this solver had performed the
-  /// check, with `seconds`/`enumerations` as measured by the actual
-  /// performer. This keeps the logical `solver.*` counter stream
-  /// identical between serial and parallel evaluation (DESIGN.md §7).
-  Sat consumeDelegated(Sat verdict, double seconds, uint64_t enumerations);
-
   const CVarRegistry& registry() const { return reg_; }
   const SolverStats& stats() const { return stats_; }
   void resetStats() { stats_ = SolverStats{}; }
@@ -110,25 +100,13 @@ class SolverBase {
   virtual void setTracer(obs::Tracer* tracer);
   obs::Tracer* tracer() const { return tracer_; }
 
-  /// An independent instance of this solver configured identically, for
-  /// one SolverPool lane: clones must produce bit-identical verdicts and
-  /// share no mutable state with this solver (the registry is read-only
-  /// during an evaluation). Returns nullptr when the backend cannot be
-  /// cloned (Z3: per-context translation state); SolverPool then falls
-  /// back to its serialized shared-prototype mode. Clones carry no
-  /// guard, tracer, or verdict cache — the pool wires what lanes need.
-  virtual std::unique_ptr<SolverBase> cloneForLane(size_t lane) const {
-    (void)lane;
-    return nullptr;
-  }
-
   /// Attaches a verdict cache (smt/verdict_cache.hpp): check()/implies()
   /// consult it first and store non-degraded verdicts back. The cache
   /// must be bound to this solver's registry (throws EvalError
-  /// otherwise) and may be shared across solvers — SolverPool propagates
-  /// the prototype's cache to every lane, and verify/ containment reuses
-  /// a session's cache across eval and verification. Null detaches; the
-  /// cache must outlive the solver's use of it.
+  /// otherwise) and may be shared across solvers — scenario forks share
+  /// one cache, and verify/ containment reuses a session's cache across
+  /// eval and verification. Null detaches; the cache must outlive the
+  /// solver's use of it.
   void setVerdictCache(VerdictCache* cache);
   VerdictCache* verdictCache() const { return cache_; }
 
@@ -172,6 +150,15 @@ class SolverBase {
   bool lastCheckCacheable_ = true;
 
  private:
+  /// Accounts a verdict replayed from the verdict cache: charges the
+  /// guard exactly as a fresh check would — a tripped solver-check
+  /// budget degrades the verdict to Unknown — and records stats and
+  /// registry mirrors as if this solver had decided it, with the
+  /// `enumerations` of the original check and the lookup's `seconds`.
+  /// A cache hit therefore changes only wall time, never the logical
+  /// `solver.*` counter stream.
+  Sat consumeDelegated(Sat verdict, double seconds, uint64_t enumerations);
+
   /// Registry handles, resolved once in setTracer; valid iff tracer_.
   struct MetricHandles {
     obs::Counter* checks = nullptr;
@@ -246,17 +233,6 @@ class NativeSolver : public SolverBase {
       : NativeSolver(reg, Options{}) {}
   NativeSolver(const CVarRegistry& reg, Options opts)
       : SolverBase(reg), opts_(opts) {}
-
-  /// Configuration, so a SolverPool can clone equivalently-configured
-  /// per-worker instances.
-  const Options& options() const { return opts_; }
-
-  /// Native clones are pure decision procedures over the shared
-  /// registry: same Options, bit-identical verdicts.
-  std::unique_ptr<SolverBase> cloneForLane(size_t lane) const override {
-    (void)lane;
-    return std::make_unique<NativeSolver>(reg_, opts_);
-  }
 
  protected:
   Sat checkUncached(const Formula& f) override;

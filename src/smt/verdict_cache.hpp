@@ -30,10 +30,10 @@
 //     be reused by a recycled allocation while the entry lives.
 //
 // Thread-safe behind one mutex: lookups are pointer hashes, far cheaper
-// than any solver check, and SolverPool lanes only reach the cache once
-// per physical check. Hit verdicts are deterministic — which *thread*
-// pays the miss varies, but every thread reads the same stored verdict,
-// and logical accounting happens at the serial replay regardless.
+// than any solver check, and concurrent scenario forks share one cache.
+// Hit verdicts are deterministic — which fork pays the miss varies, but
+// every fork reads the same stored verdict, and each replays it through
+// its own solver's logical accounting.
 #pragma once
 
 #include <cstdint>

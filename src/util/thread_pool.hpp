@@ -1,7 +1,8 @@
-// A small fixed-size worker pool for the parallel fixpoint engine.
+// A small fixed-size worker pool for scenario fan-out (ScenarioSet,
+// DESIGN.md §12).
 //
-// Design constraints (DESIGN.md §7 "Parallel execution"):
-//   * fixed worker count — evaluation decides its parallelism up front
+// Design constraints:
+//   * fixed worker count — the caller decides its parallelism up front
 //     (EvalOptions::threads) and the pool never grows or shrinks;
 //   * per-worker deques with work stealing — tasks are distributed
 //     round-robin at submission, an idle worker steals from the front of
@@ -11,9 +12,7 @@
 //     ResourceGuard (every charge observes trips/cancellation) and
 //     return or throw promptly;
 //   * exception transport — the first exception thrown by any task is
-//     captured and rethrown from run() on the calling thread, so a
-//     BudgetTrip raised inside a worker degrades the evaluation exactly
-//     like the serial engine's throw.
+//     captured and rethrown from run() on the calling thread.
 //
 // run() is a barrier: it executes a batch and returns when every task of
 // that batch has finished (the caller participates, draining tasks

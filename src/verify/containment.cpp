@@ -83,10 +83,32 @@ rel::Schema anySchema(const std::string& name, size_t arity) {
   return rel::Schema(name, attrs);
 }
 
-/// Checks coverage of one frozen target rule by the constraint union.
+/// The relations `constraintUnion` reads positively but never defines,
+/// each with the arity of its first occurrence, in order of appearance.
+/// A canonical database that does not mention one holds it empty, not
+/// unknown.
+std::vector<rel::Schema> undefinedReads(const dl::Program& constraintUnion) {
+  std::set<std::string> idb;
+  for (const auto& rule : constraintUnion.rules) idb.insert(rule.head.pred);
+  std::set<std::string> seen;
+  std::vector<rel::Schema> out;
+  for (const auto& rule : constraintUnion.rules) {
+    for (const auto& lit : rule.body) {
+      if (!lit.negated && idb.count(lit.atom.pred) == 0 &&
+          seen.insert(lit.atom.pred).second) {
+        out.push_back(anySchema(lit.atom.pred, lit.atom.args.size()));
+      }
+    }
+  }
+  return out;
+}
+
+/// Checks coverage of one frozen target rule by the constraint union,
+/// whose undefined positive reads `emptyReads` lists (undefinedReads).
 /// Sets *incomplete when a resource budget tripped before the answer was
 /// decided (the returned "false" then means UNKNOWN, not uncovered).
 bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
+                 const std::vector<rel::Schema>& emptyReads,
                  const CVarRegistry& srcReg,
                  const SubsumptionOptions& opts, bool* incomplete) {
   rel::Database canonical;
@@ -112,17 +134,8 @@ bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
   for (const auto& cmp : r.cmps) premiseParts.push_back(linToFormula(cmp, fz));
   smt::Formula premise = smt::Formula::conj(std::move(premiseParts));
 
-  // Relations the constraints read positively but the canonical database
-  // does not mention are empty, not unknown.
-  std::set<std::string> idb;
-  for (const auto& rule : constraintUnion.rules) idb.insert(rule.head.pred);
-  for (const auto& rule : constraintUnion.rules) {
-    for (const auto& lit : rule.body) {
-      if (!lit.negated && idb.count(lit.atom.pred) == 0 &&
-          !canonical.has(lit.atom.pred)) {
-        canonical.create(anySchema(lit.atom.pred, lit.atom.args.size()));
-      }
-    }
+  for (const rel::Schema& schema : emptyReads) {
+    if (!canonical.has(schema.name())) canonical.create(schema);
   }
 
   // Universal variables: everything the frozen rule itself mentions.
@@ -206,6 +219,7 @@ SubsumptionResult subsumes(const Constraint& target,
   for (const auto& c : constraints) unionRules += c.program.rules.size();
   constraintUnion.rules.reserve(unionRules);
   for (const auto& c : constraints) constraintUnion.append(c.program);
+  const std::vector<rel::Schema> emptyReads = undefinedReads(constraintUnion);
   std::vector<Rule> flat =
       unfoldGoalRules(target.program, Constraint::kGoal, opts.maxUnfoldRules);
 
@@ -223,8 +237,8 @@ SubsumptionResult subsumes(const Constraint& target,
                            "verify.rule[" + std::to_string(i) + "]");
     }
     bool incomplete = false;
-    bool covered =
-        ruleCovered(flat[i], constraintUnion, srcReg, opts, &incomplete);
+    bool covered = ruleCovered(flat[i], constraintUnion, emptyReads, srcReg,
+                               opts, &incomplete);
     if (ruleSpan) {
       ruleSpan.note("covered", covered ? "true" : "false");
       if (incomplete) ruleSpan.note("incomplete", "true");

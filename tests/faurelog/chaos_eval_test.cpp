@@ -3,8 +3,7 @@
 // unsupervised run when no faults fire; with a seeded FaultPlan and a
 // native fallback, injected faults must change *no* result bits either
 // (the default plan only ever faults the primary, which fails over) —
-// at any thread count, with the verdict cache on or off, for the same
-// seed every time.
+// with the verdict cache on or off, for the same seed every time.
 #include <gtest/gtest.h>
 
 #include "datalog/parser.hpp"
@@ -55,7 +54,7 @@ class ChaosEvalTest : public ::testing::Test {
     smt::SolverStats solver;
   };
 
-  Run eval(EvalOptions opts, unsigned threads, bool cache) {
+  Run eval(EvalOptions opts, bool cache) {
     // When supervision is requested, wrap here (rather than letting
     // evalFaure wrap internally) so the outer solver's logical stats
     // stream stays observable after the run — and so the evaluator's
@@ -75,7 +74,6 @@ class ChaosEvalTest : public ::testing::Test {
       vc = std::make_unique<smt::VerdictCache>(db_.cvars(), 4096);
       solver->setVerdictCache(vc.get());
     }
-    opts.threads = threads;
     Run r;
     r.res = evalFaure(dl::parseProgram(kClosure, db_.cvars()), db_, solver,
                       opts);
@@ -117,39 +115,33 @@ class ChaosEvalTest : public ::testing::Test {
 };
 
 TEST_F(ChaosEvalTest, SupervisionWithZeroFaultsIsBitIdentical) {
-  Run plain = eval({}, 1, /*cache=*/true);
+  Run plain = eval({}, /*cache=*/true);
   EvalOptions supervised;
   smt::SupervisionOptions sup;
   sup.enabled = true;
   sup.maxRetries = 3;
   sup.failover = true;
   supervised.supervision = sup;
-  for (unsigned threads : {1u, 4u}) {
-    Run run = eval(supervised, threads, /*cache=*/true);
-    expectIdentical(plain, run,
-                    "zero-fault threads=" + std::to_string(threads));
-    // Including the logical solver stream — supervision must not add,
-    // drop, or re-order a single check.
-    EXPECT_EQ(run.solver.checks, plain.solver.checks);
-    EXPECT_EQ(run.solver.unsat, plain.solver.unsat);
-    EXPECT_EQ(run.solver.unknown, plain.solver.unknown);
-    EXPECT_EQ(run.solver.enumerations, plain.solver.enumerations);
-  }
+  Run run = eval(supervised, /*cache=*/true);
+  expectIdentical(plain, run, "zero-fault");
+  // Including the logical solver stream — supervision must not add,
+  // drop, or re-order a single check.
+  EXPECT_EQ(run.solver.checks, plain.solver.checks);
+  EXPECT_EQ(run.solver.unsat, plain.solver.unsat);
+  EXPECT_EQ(run.solver.unknown, plain.solver.unknown);
+  EXPECT_EQ(run.solver.enumerations, plain.solver.enumerations);
 }
 
 TEST_F(ChaosEvalTest, SeededChaosWithFailoverChangesNoResultBits) {
-  Run plain = eval({}, 1, /*cache=*/true);
+  Run plain = eval({}, /*cache=*/true);
   for (uint64_t seed : {1ull, 20260807ull, 64206ull}) {
     EvalOptions chaotic;
     chaotic.supervision = chaosOptions(seed);
-    for (unsigned threads : {1u, 2u, 8u}) {
-      for (bool cache : {true, false}) {
-        Run run = eval(chaotic, threads, cache);
-        expectIdentical(plain, run,
-                        "seed=" + std::to_string(seed) +
-                            " threads=" + std::to_string(threads) +
-                            " cache=" + (cache ? "on" : "off"));
-      }
+    for (bool cache : {true, false}) {
+      Run run = eval(chaotic, cache);
+      expectIdentical(plain, run,
+                      "seed=" + std::to_string(seed) +
+                          " cache=" + (cache ? "on" : "off"));
     }
   }
 }
@@ -163,7 +155,7 @@ TEST_F(ChaosEvalTest, PermanentPrimaryCrashCompletesViaFailover) {
   auto plan = std::make_shared<util::FaultPlan>(13);
   plan->configure(std::string(util::FaultPlan::kPrimaryTag), spec);
 
-  Run plain = eval({}, 1, /*cache=*/true);
+  Run plain = eval({}, /*cache=*/true);
   EvalOptions dying;
   smt::SupervisionOptions sup;
   sup.enabled = true;
@@ -171,18 +163,15 @@ TEST_F(ChaosEvalTest, PermanentPrimaryCrashCompletesViaFailover) {
   sup.failover = true;
   sup.chaos = plan;
   dying.supervision = sup;
-  for (unsigned threads : {1u, 4u}) {
-    Run run = eval(dying, threads, /*cache=*/true);
-    expectIdentical(plain, run,
-                    "dead-primary threads=" + std::to_string(threads));
-    EXPECT_FALSE(run.res.incomplete);
-  }
+  Run run = eval(dying, /*cache=*/true);
+  expectIdentical(plain, run, "dead-primary");
+  EXPECT_FALSE(run.res.incomplete);
 }
 
 TEST_F(ChaosEvalTest, SameSeedReplaysTheSameDegradedRun) {
   // Chain of one (no fallback): injected faults that exhaust retries
   // degrade checks to Unknown. Degraded or not, a fixed seed must give
-  // byte-identical results at every thread count.
+  // byte-identical results on every replay.
   util::FaultSpec spec;
   spec.spuriousUnknown = 0.25;
   spec.clearsOnRetry = false;  // retries cannot clear it: some degrade
@@ -196,15 +185,12 @@ TEST_F(ChaosEvalTest, SameSeedReplaysTheSameDegradedRun) {
   sup.chaos = plan;
   degraded.supervision = sup;
 
-  Run first = eval(degraded, 1, /*cache=*/true);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    Run replay = eval(degraded, threads, /*cache=*/true);
-    expectIdentical(first, replay,
-                    "replay threads=" + std::to_string(threads));
-  }
+  Run first = eval(degraded, /*cache=*/true);
+  Run replay = eval(degraded, /*cache=*/true);
+  expectIdentical(first, replay, "replay");
   // And the degradation is real: spurious Unknowns leave tuples that a
   // healthy run would have pruned.
-  Run plain = eval({}, 1, /*cache=*/true);
+  Run plain = eval({}, /*cache=*/true);
   EXPECT_GE(first.res.stats.inserted, plain.res.stats.inserted);
 }
 

@@ -76,7 +76,6 @@ TEST_F(EvalBudgetTest, StepBudgetTripsOnJoinWork) {
   ResourceGuard guard(limits);
   EvalOptions opts;
   opts.guard = &guard;
-  opts.threads = 1;  // exact charge totals are a serial-schedule property
   EvalResult res = eval(kClosure, opts);
   EXPECT_TRUE(res.incomplete);
   EXPECT_EQ(res.tripped, Budget::Steps);
@@ -157,7 +156,6 @@ TEST_F(EvalBudgetTest, FaultInjectionProducesDeterministicPartialResults) {
     guard.failAfter(n);
     EvalOptions opts;
     opts.guard = &guard;
-    opts.threads = 1;  // the fault clock counts serial-schedule charges
     return eval(kClosure, opts);
   };
   EvalResult a = runWithFault(40);

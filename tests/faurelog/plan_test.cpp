@@ -1,12 +1,11 @@
 // Cost-based join planning (faurelog/plan.hpp, DESIGN.md §11): unit
 // tests for the rule-shape analysis and the greedy planner, and the
-// byte-identity contract end to end — for any plan mode, thread count
-// and workload shape (reordered literals, wild c-variable rows, chunked
-// parallel rounds, recursive delta pinning) the evaluator must produce
-// results bit-identical to the pristine program-order path, including
-// the logical counters. Also pins the satellite contract that a
-// persistent index is built once per (relation, key-set, epoch), never
-// once per chunk.
+// byte-identity contract end to end — for any plan mode and workload
+// shape (reordered literals, wild c-variable rows, recursive delta
+// pinning) the evaluator must produce results bit-identical to the
+// pristine program-order path, including the logical counters. Also
+// pins the contract that a persistent index is built once per
+// (relation, key-set, epoch).
 #include "faurelog/plan.hpp"
 
 #include <gtest/gtest.h>
@@ -148,9 +147,8 @@ TEST(PlanModeTest, ResolutionPrefersExplicitThenEnv) {
 }
 
 /// End-to-end byte identity: every workload below is evaluated with the
-/// planner off (serial program order — the pristine baseline) and
-/// compared bit for bit against planner-on runs at several thread
-/// counts.
+/// planner off (program order — the pristine baseline) and compared
+/// bit for bit against a planner-on run.
 class PlanIdentityTest : public ::testing::Test {
  protected:
   struct EvalRun {
@@ -159,13 +157,12 @@ class PlanIdentityTest : public ::testing::Test {
   };
 
   EvalRun eval(const std::string& dbText, const char* progText,
-               PlanMode plan, unsigned threads) {
+               PlanMode plan) {
     rel::Database db = parseDatabase(dbText);
     dl::Program program = dl::parseProgram(progText, db.cvars());
     smt::NativeSolver solver(db.cvars());
     EvalOptions opts;
     opts.plan = plan;
-    opts.threads = threads;
     EvalRun r;
     r.res = evalFaure(program, db, &solver, opts);
     r.solver = solver.stats();
@@ -205,15 +202,9 @@ class PlanIdentityTest : public ::testing::Test {
   }
 
   void expectPlanInvisible(const std::string& dbText, const char* progText) {
-    EvalRun baseline = eval(dbText, progText, PlanMode::Off, 1);
-    for (unsigned threads : {1u, 2u, 8u}) {
-      EvalRun planned = eval(dbText, progText, PlanMode::On, threads);
-      expectIdentical(baseline, planned,
-                      "plan=on threads=" + std::to_string(threads));
-      EvalRun unplanned = eval(dbText, progText, PlanMode::Off, threads);
-      expectIdentical(baseline, unplanned,
-                      "plan=off threads=" + std::to_string(threads));
-    }
+    EvalRun baseline = eval(dbText, progText, PlanMode::Off);
+    EvalRun planned = eval(dbText, progText, PlanMode::On);
+    expectIdentical(baseline, planned, "plan=on");
   }
 };
 
@@ -287,11 +278,10 @@ TEST_F(PlanIdentityTest, RecursiveClosureKeepsDeltaSemantics) {
                       "R(x,y) :- E(x,z), R(z,y).\n");
 }
 
-TEST_F(PlanIdentityTest, ChunkedParallelRoundsStayCanonical) {
-  // 1100 rows in the first literal crosses the partition threshold, so
-  // threads=8 splits the delta range into chunks whose planned results
-  // must concatenate back into the serial order; the first round's
-  // delta is the full range.
+TEST_F(PlanIdentityTest, LargeReorderedJoinStaysCanonical) {
+  // 1100 rows in the first literal against a two-row E2: the planner
+  // puts E2 first and probes E, and the sort by enumeration rank must
+  // restore the program-order frame stream.
   std::string db =
       "table E(x int, y int)\n"
       "table E2(y int, z int)\n";
@@ -309,19 +299,17 @@ TEST_F(PlanIdentityTest, ExplainModeMatchesAndDumpsPlans) {
       "row A 1 2\nrow A 3 4\n"
       "row B 2 5\nrow B 4 6\n";
   const char* prog = "T(x,z) :- A(x,y), B(y,z).\n";
-  EvalRun baseline = eval(db, prog, PlanMode::Off, 1);
+  EvalRun baseline = eval(db, prog, PlanMode::Off);
   testing::internal::CaptureStderr();
-  EvalRun explained = eval(db, prog, PlanMode::Explain, 1);
+  EvalRun explained = eval(db, prog, PlanMode::Explain);
   std::string dump = testing::internal::GetCapturedStderr();
   expectIdentical(baseline, explained, "plan=explain");
   EXPECT_NE(dump.find("plan T(x, z)"), std::string::npos) << dump;
   EXPECT_NE(dump.find("probe["), std::string::npos) << dump;
 }
 
-/// Satellite regression: one persistent index build per (relation,
-/// key-set, epoch) — chunked parallel rounds share the index instead of
-/// rebuilding it per chunk, and a later epoch extends rather than
-/// rebuilds.
+/// One persistent index build per (relation, key-set, epoch): a later
+/// epoch extends the index rather than rebuilding it.
 TEST_F(PlanIdentityTest, IndexBuiltOncePerRelationKeysetAndEpoch) {
   std::string dbText =
       "table E(x int, y int)\n"
@@ -338,7 +326,6 @@ TEST_F(PlanIdentityTest, IndexBuiltOncePerRelationKeysetAndEpoch) {
   obs::Tracer tracer;
   EvalOptions opts;
   opts.plan = PlanMode::On;
-  opts.threads = 4;  // E crosses kPartitionMinRows -> chunked round
   opts.tracer = &tracer;
   IncrementalEngine eng(std::move(program), db, &solver, opts);
   eng.setIncremental(true);
@@ -351,8 +338,7 @@ TEST_F(PlanIdentityTest, IndexBuiltOncePerRelationKeysetAndEpoch) {
   };
   auto builds = [&] { return counter("eval.plan.index_builds"); };
   // The tiny E2 is reordered first and E probes its y column (the
-  // binder keyed by E2's placed occurrence): exactly one index build,
-  // no matter how many chunks probed it.
+  // binder keyed by E2's placed occurrence): exactly one index build.
   EXPECT_EQ(builds(), 1u);
   // Second epoch: the edit grows the probed E; the retained index is
   // extended by watermark, not rebuilt.

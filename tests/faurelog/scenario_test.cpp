@@ -2,18 +2,21 @@
 // the fork-isolation contract (scenarios editing the same relation
 // divergently never observe each other, and a budget-tripped scenario
 // degrades alone), the fork-vs-fresh byte-identity contract at every
-// fan-out width (including under seeded chaos), the scenarios-file
-// split, and the Database::clone() snapshot the forks are built on.
+// fan-out width (including under seeded chaos), the fan-out width
+// resolution rules, the scenarios-file split, and the Database::clone()
+// snapshot the forks are built on.
 #include "faurelog/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "datalog/parser.hpp"
 #include "faurelog/textio.hpp"
 #include "util/fault_plan.hpp"
+#include "util/thread_pool.hpp"
 
 namespace faure::fl {
 namespace {
@@ -214,6 +217,34 @@ TEST(ScenarioSetTest, BatchesReuseOnePreparedSnapshot) {
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].output, b[0].output);
   EXPECT_EQ(a[0].exitCode, 0);
+}
+
+TEST(ResolveThreadsTest, ExplicitEnvAndHardwareRules) {
+  EvalOptions opts;
+
+  // Unset + no env: one scenario at a time.
+  ::unsetenv("FAURE_THREADS");
+  EXPECT_EQ(resolveThreads(opts), 1u);
+
+  // Unset + env: the environment decides (the TSan CI job widens every
+  // scenario fan-out through this knob).
+  ::setenv("FAURE_THREADS", "3", 1);
+  EXPECT_EQ(resolveThreads(opts), 3u);
+
+  // Explicit threads override the environment entirely.
+  opts.threads = 1;
+  EXPECT_EQ(resolveThreads(opts), 1u);
+  opts.threads = 5;
+  EXPECT_EQ(resolveThreads(opts), 5u);
+
+  // 0 means hardware concurrency, from either source.
+  opts.threads = 0;
+  EXPECT_EQ(resolveThreads(opts), util::ThreadPool::hardwareConcurrency());
+  opts.threads.reset();
+  ::setenv("FAURE_THREADS", "0", 1);
+  EXPECT_EQ(resolveThreads(opts), util::ThreadPool::hardwareConcurrency());
+
+  ::unsetenv("FAURE_THREADS");
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 Two report families are understood (--family):
 
   table4       BENCH_table4.json from bench/table4_reachability:
-               `table4[N].wall_seconds` plus `threads[T].` / `nocache.`
-               variants, gated against bench/baseline_table4.json.
+               `table4[N].wall_seconds` plus the `nocache.` variant,
+               gated against bench/baseline_table4.json.
   incremental  BENCH_incremental.json from bench/whatif_incremental:
                `incremental[N].wall_seconds` (the full-recompute
                oracle) plus the `inc.` variant (delta propagation on),
@@ -37,8 +37,7 @@ reported, never fatal), 1 on regression or missing entries. --update
 rewrites the baseline from the current report instead of comparing
 (commit the result deliberately). --allow-missing downgrades baseline
 entries absent from the current report to a warning — for CI legs that
-deliberately run a reduced matrix (e.g. the chaos job skips the
-threaded repeats). Malformed inputs (absent files, non-JSON, a report
+deliberately run a reduced matrix. Malformed inputs (absent files, non-JSON, a report
 without the expected gauges) are diagnosed on stderr with a next-step
 hint, never a traceback.
 """
@@ -90,8 +89,7 @@ def load_json(path, role, family="table4"):
 FAMILIES = {
     "table4": {
         "wall": re.compile(
-            r"^table4\[(\d+)\]\.(?:threads\[(\d+)\]\.|(nocache)\.)?"
-            r"wall_seconds$"
+            r"^table4\[(\d+)\]\.(?:()(nocache)\.)?wall_seconds$"
         ),
         "variant": "nocache",
         "example": "table4[8].wall_seconds",
@@ -125,8 +123,8 @@ FAMILIES = {
 def extract(report_path, family):
     """-> {(size, threads, variant): wall_seconds} from a run report.
 
-    table4 records one serial row per size (solver verdict cache on),
-    the threaded repeats, and one `nocache.` serial control; the
+    table4 records one row per size (solver verdict cache on) and one
+    `nocache.` control; the
     incremental family records the full-recompute oracle wall and the
     `inc.` delta-propagation wall per size.
     """

@@ -1,78 +1,75 @@
 #!/usr/bin/env python3
-"""Byte-level determinism gate for the parallel fixpoint engine.
+"""Byte-level determinism gate for the evaluation engine.
 
-The parallel evaluator (DESIGN.md "Parallel execution") promises results
-bit-identical to serial for every thread count. This script enforces the
+Every physical layer of the engine — the solver verdict cache, the
+cost-based join planner, solver supervision, scenario fan-out — promises
+results byte-identical to running without it. This script enforces the
 promise end to end through the CLI: for each (database, program) pair it
 runs
 
     faure run <db> <program> --stats          (plain output + counters)
     faure run <db> <program> --metrics        (machine-readable report)
 
-once per requested FAURE_THREADS value and fails if
+with the solver verdict cache on and off (FAURE_SOLVER_CACHE=0) and
+fails if
 
   * the plain stdout (tables, conditions, counter lines — wall-clock
     seconds on the stats lines are masked first) differs by a single
-    byte from the serial run, or the exit code differs, or
+    byte from the baseline run, or the exit code differs, or
   * the logical counters of the run report differ. Physical metrics are
-    normalized away first: `eval.par.*` (pool-side telemetry that only
-    exists in parallel runs), `eval.plan.*` (join-planner telemetry —
-    when indexes are built/extended depends on scheduling, and the cost
-    estimates read those live index stats), `solver.cache.*` (hit/miss
-    traffic of the verdict cache depends on which thread reaches a
-    formula first), all gauges/histograms (timings), span trees and
-    wall clocks. Everything logical — derivations, inserts, prunes,
-    per-rule breakdowns, solver.* checks/unsat/enumerations — must
-    match exactly.
+    normalized away first: `eval.plan.*` (join-planner telemetry — which
+    indexes get built depends on the plan), `solver.cache.*` (hit/miss
+    traffic of the verdict cache), all gauges/histograms (timings), span
+    trees and wall clocks. Everything logical — derivations, inserts,
+    prunes, per-rule breakdowns, solver.* checks/unsat/enumerations —
+    must match exactly.
 
-Each (threads) variant is additionally run with the solver verdict
-cache disabled (FAURE_SOLVER_CACHE=0); cached and uncached runs must
-agree byte for byte too — the cache is a physical optimisation with no
-logical footprint (DESIGN.md "Condition performance").
+With --plan every variant additionally runs once with the join planner
+on and once with it off (FAURE_PLAN).
 
 With --chaos-seed N the whole matrix runs under seeded fault injection
 (FAURE_CHAOS_SEED, DESIGN.md §9): the supervised solver's primary
 backend suffers deterministic crashes/timeouts/spurious Unknowns and
 fails over to the native fallback. The default chaos plan only ever
 faults the primary, so every *result* bit must still match the
-baseline — that is the supervision transparency contract this mode
-enforces. Fault-handling telemetry is physical, not logical: the
+no-chaos baseline — that is the supervision transparency contract this
+mode enforces. Fault-handling telemetry is physical, not logical: the
 `supervise:` stats line, `solver.supervise.*` / `events.supervise.*`
 counters, and `supervise.*` events are masked before comparison (which
-checks reach a backend — and hence can fault — depends on cache hits
-and thread scheduling).
+checks reach a backend — and hence can fault — depends on cache hits).
 
 With --edit-script EDITS the gate targets the incremental engine's
 oracle contract (DESIGN.md §10) instead: for each (database, program)
 pair it replays the edit script through `faure whatif` under every
-{--incremental, --full-recompute} x threads x cache combination and
-byte-compares the raw epoch output (whatif prints no timings, so no
-normalization is needed) against the full-recompute serial cached
-baseline. It then runs `whatif --metrics` once per mode and asserts
-the point of incrementality from the `eval.inc.*` counters: both modes
-complete the same number of epochs, the incremental run re-fires
-strictly fewer rules than the oracle, and at least one stratum was
-reused verbatim. --edit-script and --chaos-seed are mutually
-exclusive — chaos failover is supervised-run telemetry, while the
-oracle contract is about retained-state reuse.
+{--incremental, --full-recompute} x cache combination and byte-compares
+the raw epoch output (whatif prints no timings, so no normalization is
+needed) against the full-recompute cached baseline. It then runs
+`whatif --metrics` once per mode and asserts the point of
+incrementality from the `eval.inc.*` counters: both modes complete the
+same number of epochs, the incremental run re-fires strictly fewer
+rules than the oracle, and at least one stratum was reused verbatim.
+--edit-script and --chaos-seed are mutually exclusive — chaos failover
+is supervised-run telemetry, while the oracle contract is about
+retained-state reuse.
 
 With --scenarios FILE the gate targets the concurrent scenario engine
-(DESIGN.md §12): the baseline is N single-scenario `faure whatif` runs,
-one per `---`-delimited block of FILE (serial, cache on, defaults), and
-every {--incremental, --full-recompute} x threads x cache (x plan with
---plan) variant of `faure whatif --scenarios FILE` must reproduce each
-block's stdout byte for byte (and its exit code) inside its
-`=== scenario I: exit E ===` frame — the fan-out width (FAURE_THREADS)
-must be invisible in the bytes. One `faure serve` round-trip (EVAL/GO/
-QUIT over stdin at the widest thread count) must answer the same bytes
-through RESULT frames. --scenarios composes with --chaos-seed: the
-batch then runs under seeded fault injection while the baselines stay
-chaos-free, extending the supervision transparency contract to the
-scenario service.
+(DESIGN.md §12), the engine's only parallel path: the baseline is N
+single-scenario `faure whatif` runs, one per `---`-delimited block of
+FILE (cache on, defaults), and every {--incremental, --full-recompute}
+x fan-out width x cache (x plan with --plan) variant of `faure whatif
+--scenarios FILE` must reproduce each block's stdout byte for byte (and
+its exit code) inside its `=== scenario I: exit E ===` frame — the
+fan-out width (FAURE_THREADS, --threads) must be invisible in the
+bytes. One `faure serve` round-trip (EVAL/GO/QUIT over stdin at the
+widest fan-out) must answer the same bytes through RESULT frames.
+--scenarios composes with --chaos-seed: the batch then runs under
+seeded fault injection while the baselines stay chaos-free, extending
+the supervision transparency contract to the scenario service.
 
 Usage:
-    determinism_check.py --faure build/tools/faure [--threads 1,2,8] \
-        [--chaos-seed N | --edit-script edits.fl] [--scenarios FILE] \
+    determinism_check.py --faure build/tools/faure [--plan] \
+        [--chaos-seed N | --edit-script edits.fl] \
+        [--scenarios FILE [--threads 1,2,8]] \
         db1.fdb prog1.fl [db2.fdb prog2.fl ...]
 
 Exit status: 0 when every pair is deterministic, 1 otherwise (with a
@@ -88,13 +85,18 @@ import subprocess
 import sys
 
 # Wall-clock fields on the `stats:` / `solver:` lines — the only
-# legitimately thread-dependent bytes in `run --stats` output.
+# legitimately run-dependent bytes in `run --stats` output.
 SECONDS = re.compile(r"\b(sql|solver|in) \d+\.\d+s|\b\d+\.\d+s\b")
 
 
-def run_cli(faure, args, threads, cache=True, chaos_seed=None, plan=None):
+def run_cli(faure, args, threads=None, cache=True, chaos_seed=None,
+            plan=None):
     env = dict(os.environ)
-    env["FAURE_THREADS"] = str(threads)
+    # Only the scenario fan-out reads FAURE_THREADS; pin it per variant
+    # there and keep an inherited value out of everything else.
+    env.pop("FAURE_THREADS", None)
+    if threads is not None:
+        env["FAURE_THREADS"] = str(threads)
     if not cache:
         env["FAURE_SOLVER_CACHE"] = "0"
     # The plan sweep pins FAURE_PLAN per variant; an inherited value
@@ -102,9 +104,8 @@ def run_cli(faure, args, threads, cache=True, chaos_seed=None, plan=None):
     env.pop("FAURE_PLAN", None)
     if plan is not None:
         env["FAURE_PLAN"] = plan
-    # Fault-injection knobs would make charge clocks (and thus trip
-    # points) schedule-dependent; determinism is only promised without
-    # them (tests/faurelog/eval_budget_test.cpp pins those serial).
+    # Fault-injection knobs trip at a charge count, which moves with
+    # the plan and cache settings; the matrix runs without them.
     env.pop("FAURE_FAIL_AFTER", None)
     # Solver chaos is different: seeded, formula-keyed, and failover-
     # transparent — the matrix either runs entirely under one seed
@@ -140,20 +141,21 @@ def normalize_stats(text):
 
 
 def normalize_report(text):
-    """Reduces a run report to its thread-count-invariant core."""
+    """Reduces a run report to its logical, configuration-invariant
+    core."""
     report = json.loads(text)
     counters = {
         name: value
         for name, value in report.get("metrics", {}).get("counters", {}).items()
         if not name.startswith(
-            ("eval.par.", "eval.plan.", "solver.cache.",
-             "solver.supervise.", "events.supervise.")
+            ("eval.plan.", "solver.cache.", "solver.supervise.",
+             "events.supervise.")
         )
     }
     info = {
         key: value
         for key, value in report.get("info", {}).items()
-        if key not in ("threads", "supervision", "chaos_seed", "plan")
+        if key not in ("supervision", "chaos_seed", "plan")
     }
     # Events keep name + detail (budget trips and their machine-readable
     # reasons are part of the contract) but drop timestamps and span ids.
@@ -187,20 +189,16 @@ def diff(label, serial, other):
     return "".join(lines)
 
 
-def check_pair(faure, db, prog, thread_counts, chaos_seed=None,
-               plan_sweep=False):
-    # The baseline is serial + cache; every other (threads, cache)
-    # combination must match it after normalization. Under --chaos-seed
-    # the baseline additionally runs *without* injection while every
-    # variant runs with it — so one sweep enforces both cross-thread
-    # determinism and the fault plan's output transparency. Under --plan
-    # every (threads, cache) combination runs once with the join planner
-    # on and once with it off; the planner is a physical layer, so both
-    # must match the baseline byte for byte.
+def check_pair(faure, db, prog, chaos_seed=None, plan_sweep=False):
+    # The baseline is the cached run; the uncached one must match it
+    # after normalization. Under --chaos-seed the baseline additionally
+    # runs *without* injection while every variant runs with it — so one
+    # sweep enforces both cache transparency and the fault plan's output
+    # transparency. Under --plan every cache setting runs once with the
+    # join planner on and once with it off; the planner is a physical
+    # layer, so both must match the baseline byte for byte.
     plans = ("on", "off") if plan_sweep else (None,)
-    variants = [
-        (t, c, p) for p in plans for c in (True, False) for t in thread_counts
-    ]
+    variants = [(c, p) for p in plans for c in (True, False)]
     failures = []
     for mode, args, normalize in (
         ("run --stats", [db, prog, "--stats"], normalize_stats),
@@ -208,14 +206,14 @@ def check_pair(faure, db, prog, thread_counts, chaos_seed=None,
     ):
         baseline = None
         if chaos_seed is not None:
-            code, out = run_cli(faure, ["run"] + args, thread_counts[0])
+            code, out = run_cli(faure, ["run"] + args)
             baseline = ("no-chaos baseline", code,
                         normalize(out) if normalize else out)
-        for threads, cache, plan in variants:
-            code, out = run_cli(faure, ["run"] + args, threads, cache,
+        for cache, plan in variants:
+            code, out = run_cli(faure, ["run"] + args, None, cache,
                                 chaos_seed, plan)
             view = normalize(out) if normalize else out
-            label = f"threads={threads} cache={'on' if cache else 'off'}"
+            label = f"cache={'on' if cache else 'off'}"
             if plan is not None:
                 label += f" plan={plan}"
             if chaos_seed is not None:
@@ -248,9 +246,8 @@ def inc_counters(report_text):
     }
 
 
-def check_whatif_pair(faure, db, prog, edits, thread_counts,
-                      plan_sweep=False):
-    """Oracle-contract sweep: every {mode, threads, cache} variant of
+def check_whatif_pair(faure, db, prog, edits, plan_sweep=False):
+    """Oracle-contract sweep: every {mode, cache} variant of
     `faure whatif` must print byte-identical epochs, and the metrics
     reports must show the incremental mode actually skipping work. With
     plan_sweep the matrix additionally crosses FAURE_PLAN on/off — the
@@ -261,43 +258,37 @@ def check_whatif_pair(faure, db, prog, edits, thread_counts,
     plans = ("on", "off") if plan_sweep else (None,)
     baseline = None
     for mode_flag in ("--full-recompute", "--incremental"):
-        for threads in thread_counts:
-            for cache in (True, False):
-                for plan in plans:
-                    code, out = run_cli(
-                        faure, ["whatif"] + args + [mode_flag], threads,
-                        cache, None, plan
+        for cache in (True, False):
+            for plan in plans:
+                code, out = run_cli(
+                    faure, ["whatif"] + args + [mode_flag], None, cache,
+                    None, plan
+                )
+                label = f"{mode_flag} cache={'on' if cache else 'off'}"
+                if plan is not None:
+                    label += f" plan={plan}"
+                if baseline is None:
+                    baseline = (label, code, out)
+                    continue
+                base_label, base_code, base_out = baseline
+                if code != base_code:
+                    failures.append(
+                        f"{db} + {prog} + {edits} (whatif): exit "
+                        f"{base_code} at {base_label} but {code} at {label}"
                     )
-                    label = (
-                        f"{mode_flag} threads={threads} "
-                        f"cache={'on' if cache else 'off'}"
+                if out != base_out:
+                    failures.append(
+                        f"{db} + {prog} + {edits} (whatif): output "
+                        f"diverges at {label}\n"
+                        + diff(f"{prog} (whatif)", base_out, out)
                     )
-                    if plan is not None:
-                        label += f" plan={plan}"
-                    if baseline is None:
-                        baseline = (label, code, out)
-                        continue
-                    base_label, base_code, base_out = baseline
-                    if code != base_code:
-                        failures.append(
-                            f"{db} + {prog} + {edits} (whatif): exit "
-                            f"{base_code} at {base_label} but {code} at "
-                            f"{label}"
-                        )
-                    if out != base_out:
-                        failures.append(
-                            f"{db} + {prog} + {edits} (whatif): output "
-                            f"diverges at {label}\n"
-                            + diff(f"{prog} (whatif)", base_out, out)
-                        )
 
-    # Firings assertion (serial, cache on): eval.inc.* counters are
-    # recorded in both modes, so the reports quantify the reuse.
+    # Firings assertion (cache on): eval.inc.* counters are recorded in
+    # both modes, so the reports quantify the reuse.
     counters = {}
     for mode_flag in ("--full-recompute", "--incremental"):
         code, out = run_cli(
-            faure, ["whatif"] + args + [mode_flag, "--metrics"],
-            thread_counts[0],
+            faure, ["whatif"] + args + [mode_flag, "--metrics"]
         )
         if code != 0:
             failures.append(
@@ -437,8 +428,8 @@ def check_scenarios_pair(faure, db, prog, scenarios, thread_counts,
     if not blocks:
         return [f"{scenarios}: no scenario blocks found"]
 
-    # Baseline: one single-scenario whatif run per block — serial,
-    # cache on, CLI defaults, never under chaos.
+    # Baseline: one single-scenario whatif run per block — cache on,
+    # CLI defaults, never under chaos.
     singles = []
     for i, block in enumerate(blocks):
         # PID-qualified so concurrent checkers (e.g. two ctest trees
@@ -447,8 +438,7 @@ def check_scenarios_pair(faure, db, prog, scenarios, thread_counts,
         with open(tmp, "w") as fh:
             fh.write(block)
         try:
-            code, out = run_cli(faure, ["whatif", db, prog, tmp],
-                                thread_counts[0])
+            code, out = run_cli(faure, ["whatif", db, prog, tmp])
         finally:
             os.unlink(tmp)
         singles.append((code, out))
@@ -524,8 +514,10 @@ def main():
     parser.add_argument("--faure", required=True, help="path to the faure CLI")
     parser.add_argument(
         "--threads",
-        default="1,2,8",
-        help="comma-separated FAURE_THREADS values (default: 1,2,8)",
+        default=None,
+        help="comma-separated scenario fan-out widths (FAURE_THREADS) for "
+        "--scenarios (default: 1,2,8); evaluation itself is serial, so "
+        "the other gates take no width",
     )
     parser.add_argument(
         "--chaos-seed",
@@ -539,8 +531,8 @@ def main():
         default=None,
         metavar="EDITS",
         help="gate `faure whatif` with this edit script instead of "
-        "`faure run`: {--incremental, --full-recompute} x threads x "
-        "cache must be byte-identical (the oracle contract) and the "
+        "`faure run`: {--incremental, --full-recompute} x cache must be "
+        "byte-identical (the oracle contract) and the "
         "incremental mode must re-fire strictly fewer rules",
     )
     parser.add_argument(
@@ -557,8 +549,8 @@ def main():
         action="store_true",
         help="cross the matrix with FAURE_PLAN on/off: the cost-based "
         "join planner (persistent indexes, literal reordering) must be "
-        "byte-invisible in the results at every thread count, in both "
-        "run and whatif modes",
+        "byte-invisible in the results, in run, whatif and scenario "
+        "modes",
     )
     parser.add_argument(
         "pairs",
@@ -578,15 +570,21 @@ def main():
             "--edit-script and --scenarios are mutually exclusive "
             "(each selects a different whatif gate)"
         )
-    thread_counts = [int(t) for t in opts.threads.split(",") if t]
-    if len(thread_counts) < 2:
-        parser.error("need at least two thread counts to compare")
+    if opts.scenarios is None and opts.threads is not None:
+        parser.error("--threads sets the scenario fan-out; it needs "
+                     "--scenarios")
+    widths = opts.threads or "1,2,8"
+    thread_counts = [int(t) for t in widths.split(",") if t]
+    if opts.scenarios is not None and len(thread_counts) < 2:
+        parser.error("need at least two fan-out widths to compare")
 
     chaos = (
         f" chaos_seed={opts.chaos_seed}" if opts.chaos_seed is not None else ""
     )
     if opts.plan:
         chaos += " x plan on/off"
+    axes = (f"threads {widths}" if opts.scenarios is not None
+            else "cache on/off")
     failures = []
     for i in range(0, len(opts.pairs), 2):
         db, prog = opts.pairs[i], opts.pairs[i + 1]
@@ -597,13 +595,11 @@ def main():
             )
         elif opts.edit_script is not None:
             pair_failures = check_whatif_pair(
-                opts.faure, db, prog, opts.edit_script, thread_counts,
-                opts.plan
+                opts.faure, db, prog, opts.edit_script, opts.plan
             )
         else:
             pair_failures = check_pair(
-                opts.faure, db, prog, thread_counts, opts.chaos_seed,
-                opts.plan
+                opts.faure, db, prog, opts.chaos_seed, opts.plan
             )
         failures += pair_failures
         status = "DIVERGED" if pair_failures else "identical"
@@ -615,7 +611,7 @@ def main():
             tag = ""
         print(
             f"{os.path.basename(db)} + {os.path.basename(prog)}{tag}: "
-            f"threads {opts.threads}{chaos} -> {status}"
+            f"{axes}{chaos} -> {status}"
         )
 
     if failures:
@@ -623,15 +619,13 @@ def main():
         return 1
     if opts.scenarios is not None:
         print(
-            f"scenario determinism holds across threads {opts.threads}"
-            f"{chaos} (batch + serve vs single-scenario runs)"
+            f"scenario determinism holds across {axes}{chaos} "
+            f"(batch + serve vs single-scenario runs)"
         )
     elif opts.edit_script is not None:
-        print(
-            f"incremental determinism holds across threads {opts.threads}"
-        )
+        print(f"incremental determinism holds across modes x {axes}{chaos}")
     else:
-        print(f"determinism holds across threads {opts.threads}{chaos}")
+        print(f"determinism holds across {axes}{chaos}")
     return 0
 
 

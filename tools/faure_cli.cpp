@@ -129,31 +129,34 @@ int usage() {
       "usage:\n"
       "  faure run <db.fdb> <program.fl> [--relation NAME] [--simplify]\n"
       "            [--solver native|z3] [--stats] [--db-out FILE]\n"
-      "            [--threads N | -jN] [--plan MODE] [--solver-cache N]\n"
+      "            [--plan MODE] [--solver-cache N]\n"
       "            [observability options] [budget options]\n"
       "  faure whatif <db.fdb> <program.fl> <edits.fl> [--relation NAME]\n"
       "            [--incremental | --full-recompute] [--solver native|z3]\n"
-      "            [--stats] [--threads N | -jN] [--plan MODE]\n"
-      "            [--solver-cache N]\n"
+      "            [--stats] [--plan MODE] [--solver-cache N]\n"
       "            [observability options] [budget options]\n"
       "            (default mode: FAURE_INCREMENTAL env, on unless \"0\";\n"
       "             both modes print byte-identical epochs)\n"
-      "  faure whatif <db.fdb> <program.fl> --scenarios FILE [...]\n"
+      "  faure whatif <db.fdb> <program.fl> --scenarios FILE\n"
+      "            [--threads N | -jN] [whatif flags]\n"
       "            evaluate one scenario per ----delimited block of FILE\n"
-      "            concurrently against a shared base snapshot; -jN sets\n"
-      "            the fan-out width, output is byte-identical to N\n"
-      "            single whatif runs (framed per scenario, input order)\n"
-      "  faure serve <db.fdb> <program.fl> [--socket PATH] [whatif flags]\n"
+      "            concurrently against a shared base snapshot; output is\n"
+      "            byte-identical to N single whatif runs (framed per\n"
+      "            scenario, input order)\n"
+      "  faure serve <db.fdb> <program.fl> [--socket PATH]\n"
+      "            [--threads N | -jN] [whatif flags]\n"
       "            scenario service: EVAL/GO/PING/QUIT/SHUTDOWN line\n"
       "            protocol on stdin/stdout, or on a unix socket\n"
       "  faure check <db.fdb> <constraint.fl> [--stats] [--solver-cache N]\n"
       "            [observability options] [budget options]\n"
       "  faure worlds <db.fdb> [cap]\n"
       "  faure fmt <db.fdb>\n"
-      "parallelism (DESIGN.md \"Parallel execution\"):\n"
-      "  --threads N / -jN  evaluation threads; 0 = hardware concurrency.\n"
-      "                     Default: FAURE_THREADS env, else serial.\n"
-      "                     Results are identical for every N.\n"
+      "scenario fan-out (DESIGN.md \"Concurrent scenario service\";\n"
+      "evaluation itself is serial):\n"
+      "  --threads N / -jN  scenarios evaluated at once (whatif --scenarios,\n"
+      "                     serve); 0 = hardware concurrency. Default:\n"
+      "                     FAURE_THREADS env, else 1. Results are\n"
+      "                     identical for every N.\n"
       "join planning (DESIGN.md \"Cost-based join planning\"):\n"
       "  --plan MODE  on: reorder body literals by estimated selectivity\n"
       "               and probe persistent c-table indexes; off: pristine\n"
@@ -480,7 +483,6 @@ int cmdRun(int argc, char** argv) {
   const char* solverName = "native";
   const char* dbOut = nullptr;
   bool simplify = false;
-  std::optional<unsigned> threads;
   std::optional<fl::PlanMode> plan;
   size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
   ObsFlags obsFlags;
@@ -495,8 +497,6 @@ int cmdRun(int argc, char** argv) {
       solverName = argv[++i];
     } else if (std::strcmp(argv[i], "--db-out") == 0 && i + 1 < argc) {
       dbOut = argv[++i];
-    } else if (parseThreadsFlag(argc, argv, i, threads)) {
-      continue;
     } else if (parsePlanFlag(argc, argv, i, plan)) {
       continue;
     } else if (parseSolverCacheFlag(argc, argv, i, cacheEntries)) {
@@ -524,7 +524,6 @@ int cmdRun(int argc, char** argv) {
   ResourceGuard guard(limits);
   fl::EvalOptions opts;
   opts.simplifyResults = simplify;
-  opts.threads = threads;
   opts.plan = plan;
   opts.tracer = tracer.get();
   if (guard.active()) {
@@ -570,7 +569,6 @@ int cmdRun(int argc, char** argv) {
     meta.add("database", argv[0]);
     meta.add("program", argv[1]);
     meta.add("solver", solverName);
-    meta.add("threads", std::to_string(fl::resolveThreads(opts)));
     meta.add("plan", planModeName(fl::resolvePlanMode(opts.plan)));
     addSupervisionMeta(meta, sup);
     if (res.incomplete) meta.add("incomplete", res.degradeReason);
@@ -615,7 +613,6 @@ int cmdWhatif(int argc, char** argv) {
   if (argc < 3) return usage();
   const char* relation = nullptr;
   const char* solverName = "native";
-  std::optional<unsigned> threads;
   std::optional<fl::PlanMode> plan;
   size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
   ObsFlags obsFlags;
@@ -631,8 +628,6 @@ int cmdWhatif(int argc, char** argv) {
       mode = 1;
     } else if (std::strcmp(argv[i], "--full-recompute") == 0) {
       mode = 0;
-    } else if (parseThreadsFlag(argc, argv, i, threads)) {
-      continue;
     } else if (parsePlanFlag(argc, argv, i, plan)) {
       continue;
     } else if (parseSolverCacheFlag(argc, argv, i, cacheEntries)) {
@@ -660,7 +655,6 @@ int cmdWhatif(int argc, char** argv) {
   std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
   ResourceGuard guard(limits);
   fl::EvalOptions opts;
-  opts.threads = threads;
   opts.plan = plan;
   opts.tracer = tracer.get();
   if (guard.active()) {
@@ -734,7 +728,6 @@ int cmdWhatif(int argc, char** argv) {
     meta.add("program", argv[1]);
     meta.add("edits", argv[2]);
     meta.add("solver", solverName);
-    meta.add("threads", std::to_string(fl::resolveThreads(opts)));
     meta.add("plan", planModeName(fl::resolvePlanMode(opts.plan)));
     meta.add("incremental", eng.incremental() ? "on" : "off");
     meta.add("epochs", std::to_string(epochsRun));
@@ -791,7 +784,7 @@ bool parseScenarioCommonFlag(int argc, char** argv, int& i,
 fl::ScenarioSetOptions buildScenarioOptions(const ScenarioCliFlags& f,
                                             obs::Tracer* tracer) {
   fl::ScenarioSetOptions sopts;
-  sopts.eval.threads = f.threads;  // reinterpreted as the fan-out width
+  sopts.eval.threads = f.threads;  // the fan-out width
   sopts.eval.plan = f.plan;
   sopts.eval.tracer = tracer;
   sopts.limits = f.limits;

@@ -7,17 +7,8 @@
 namespace faure {
 
 Session::Session(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::Z3) {
-    // Throws a typed SolverBackendError in builds without Z3.
-    solver_ = smt::requireZ3Solver(db_.cvars());
-  } else {
-    solver_ = std::make_unique<smt::NativeSolver>(db_.cvars());
-  }
+  setSupervision(smt::SupervisionOptions::fromEnv());  // builds solver_
   setSolverCache(smt::VerdictCache::capacityFromEnv());
-  if (smt::SupervisionOptions env = smt::SupervisionOptions::fromEnv();
-      env.enabled) {
-    setSupervision(env);
-  }
 }
 
 void Session::setSolverCache(size_t entries) {
@@ -32,27 +23,21 @@ void Session::setSolverCache(size_t entries) {
 
 smt::SolverBase& Session::solver() { return *solver_; }
 
-smt::SupervisedSolver* Session::supervisedSolver() {
-  return dynamic_cast<smt::SupervisedSolver*>(solver_.get());
+smt::FailoverSolver* Session::failoverSolver() {
+  return dynamic_cast<smt::FailoverSolver*>(solver_.get());
 }
 
 void Session::setSupervision(const smt::SupervisionOptions& opts) {
-  inc_.reset();  // the watch engine holds a raw pointer to the old chain
-  if (smt::SupervisedSolver* sup = supervisedSolver(); sup != nullptr) {
-    // Unwrap first — takeBackend(0) hands the verdict cache back to the
-    // primary — then re-wrap below if the new options are enabled.
-    std::unique_ptr<smt::SolverBase> inner = sup->takeBackend(0);
-    solver_ = std::move(inner);  // destroys the old wrapper
+  inc_.reset();  // the watch engine holds a raw pointer to the old solver
+  std::unique_ptr<smt::SolverBase> backend;
+  if (backend_ == Backend::Z3) {
+    // Throws a typed SolverBackendError in builds without Z3.
+    backend = smt::requireZ3Solver(db_.cvars());
+  } else {
+    backend = std::make_unique<smt::NativeSolver>(db_.cvars());
   }
-  if (!opts.enabled) {
-    solver_->setTracer(tracer_);
-    return;
-  }
-  auto sup = std::make_unique<smt::SupervisedSolver>(db_.cvars(), opts);
-  sup->addBackend(backend_ == Backend::Z3 ? "z3" : "native",
-                  std::move(solver_));
-  if (opts.failover) sup->addNativeFallback();
-  solver_ = std::move(sup);
+  solver_ = smt::supervise(std::move(backend), opts);
+  solver_->setVerdictCache(cache_.get());
   solver_->setTracer(tracer_);
 }
 

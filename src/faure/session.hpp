@@ -84,21 +84,17 @@ class Session {
   /// The session solver (rebuilt if you exchange the registry wholesale).
   smt::SolverBase& solver();
 
-  /// Fault-tolerant solver execution (smt/supervised_solver.hpp,
-  /// DESIGN.md §9): wraps the session solver in a SupervisedSolver —
-  /// per-attempt watchdog, bounded deterministic retry, circuit breaker,
-  /// optional native failover, optional seeded chaos injection. Passing
-  /// opts with enabled == false unwraps back to the bare backend. The
-  /// verdict cache moves with the wrap either way; verdicts shaped by
-  /// supervision are never admitted into it. A session constructed while
-  /// FAURE_RETRIES / FAURE_SOLVER_TIMEOUT_MS / FAURE_FAILOVER /
-  /// FAURE_CHAOS_SEED are set starts supervised (SupervisionOptions::
-  /// fromEnv()).
+  /// Solver failover (smt/failover_solver.hpp, DESIGN.md §9): rebuilds
+  /// the session solver, wrapped in a FailoverSolver when opts are
+  /// enabled (per-check timeout, optional native failover) and bare
+  /// otherwise. The verdict cache and tracer stay attached; solver stats
+  /// restart from zero. A session constructed while FAURE_FAILOVER /
+  /// FAURE_SOLVER_TIMEOUT_MS are set starts supervised
+  /// (SupervisionOptions::fromEnv()).
   void setSupervision(const smt::SupervisionOptions& opts);
 
-  /// The supervision wrapper when active, else null — read
-  /// supervisionStats() / breaker state off it after a degraded run.
-  smt::SupervisedSolver* supervisedSolver();
+  /// The failover wrapper when active, else null.
+  smt::FailoverSolver* failoverSolver();
 
   /// Resizes the session's solver verdict cache (smt/verdict_cache.hpp):
   /// `entries` bounds the LRU map, 0 detaches caching entirely. The

@@ -79,15 +79,11 @@ class FaureEvaluator {
     }
     // Supervision (DESIGN.md §9): wrap the caller's solver for the
     // duration of this evaluation.
-    if (opts_.supervision && opts_.supervision->enabled &&
+    if (opts_.supervision && opts_.supervision->enabled() &&
         solver_ != nullptr &&
-        dynamic_cast<smt::SupervisedSolver*>(solver_) == nullptr) {
-      supervisionWrap_ = std::make_unique<smt::SupervisedSolver>(
-          db.cvars(), *opts_.supervision);
-      supervisionWrap_->addBackend("primary", solver_);  // borrowed
-      if (opts_.supervision->failover) {
-        supervisionWrap_->addNativeFallback();
-      }
+        dynamic_cast<smt::FailoverSolver*>(solver_) == nullptr) {
+      supervisionWrap_ =
+          std::make_unique<smt::FailoverSolver>(*solver_, *opts_.supervision);
       solver_ = supervisionWrap_.get();
     }
     cache_ = solver_ != nullptr ? solver_->verdictCache() : nullptr;
@@ -1156,10 +1152,9 @@ class FaureEvaluator {
   std::vector<RuleMetrics> ruleMetrics_;
   RuleMetrics* curRule_ = nullptr;  // set around derive() by evalRule
 
-  // Supervision wrapper around the caller's (borrowed) solver; solver_
-  // points at it when EvalOptions::supervision is enabled. Destroying it
-  // restores the caller's verdict cache to the wrapped backend.
-  std::unique_ptr<smt::SupervisedSolver> supervisionWrap_;
+  // Failover wrapper around the caller's (borrowed) solver; solver_
+  // points at it when EvalOptions::supervision is enabled.
+  std::unique_ptr<smt::FailoverSolver> supervisionWrap_;
 
   // The main solver's verdict cache (null when none attached), with its
   // stats snapshot at construction so flushMetrics reports this

@@ -94,14 +94,7 @@ std::unique_ptr<smt::SolverBase> ScenarioSet::makeForkSolver() {
     throw EvalError("unknown solver '" + opts_.solverName + "'");
   }
   if (cache_ != nullptr) solver->setVerdictCache(cache_.get());
-  if (opts_.supervision.enabled) {
-    auto wrapped = std::make_unique<smt::SupervisedSolver>(base_->cvars(),
-                                                           opts_.supervision);
-    wrapped->addBackend(opts_.solverName, std::move(solver));
-    if (opts_.supervision.failover) wrapped->addNativeFallback();
-    solver = std::move(wrapped);
-  }
-  return solver;
+  return smt::supervise(std::move(solver), opts_.supervision);
 }
 
 const EvalResult& ScenarioSet::prepare() {

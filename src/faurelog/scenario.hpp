@@ -40,7 +40,7 @@
 #include "faurelog/eval.hpp"
 #include "faurelog/incremental.hpp"
 #include "relational/database.hpp"
-#include "smt/supervised_solver.hpp"
+#include "smt/failover_solver.hpp"
 #include "smt/verdict_cache.hpp"
 #include "util/resource_guard.hpp"
 
@@ -79,8 +79,7 @@ struct ScenarioSetOptions {
   /// Per-scenario resource governance: every scenario arms its own
   /// guard from these limits, re-armed per epoch like one CLI run.
   ResourceLimits limits;
-  /// Per-fork solver supervision (DESIGN.md §9); the chaos plan, being
-  /// read-only, is shared across forks.
+  /// Per-fork solver failover (DESIGN.md §9).
   smt::SupervisionOptions supervision;
   /// -1: FAURE_INCREMENTAL env; 0: full-recompute oracle; 1: incremental.
   int mode = -1;

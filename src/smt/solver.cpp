@@ -106,7 +106,7 @@ void SolverBase::setVerdictCache(VerdictCache* cache) {
 
 Sat SolverBase::check(const Formula& f) {
   // Cached replays and constants are pure logical outcomes; a fresh
-  // checkUncached() may clear this (supervision) or signal a budget
+  // checkUncached() may clear this (failover) or signal a budget
   // degrade through the budgetTrips delta.
   lastCheckCacheable_ = true;
   // Constants are cheaper than a cache probe; and an uncacheable miss
@@ -127,8 +127,8 @@ Sat SolverBase::check(const Formula& f) {
   // A verdict degraded by a budget trip (deadline mid-check, tripped
   // check budget, Z3 timeout) is a resource outcome, not a logical one:
   // never cache it. Every degrade path increments budgetTrips, so the
-  // delta is exactly the signal. Supervision (retries, failover,
-  // quarantine) clears lastCheckCacheable_ for the same reason.
+  // delta is exactly the signal. A failover wrapper whose backends all
+  // failed clears lastCheckCacheable_ for the same reason.
   if (stats_.budgetTrips == before.budgetTrips && lastCheckCacheable_) {
     cache_->storeCheck(f, result, stats_.enumerations - before.enumerations);
   }

@@ -95,9 +95,7 @@ class SolverBase {
   /// `solver.check_seconds` latency histogram), and — with
   /// TracerOptions::fineSpans — records a `solver.check` span per call.
   /// Null detaches; the tracer must outlive the solver's use of it.
-  /// Virtual so wrappers (smt::SupervisedSolver) can resolve additional
-  /// metric handles; overrides must call the base.
-  virtual void setTracer(obs::Tracer* tracer);
+  void setTracer(obs::Tracer* tracer);
   obs::Tracer* tracer() const { return tracer_; }
 
   /// Attaches a verdict cache (smt/verdict_cache.hpp): check()/implies()
@@ -143,10 +141,9 @@ class SolverBase {
   /// Whether the verdict being produced by the current checkUncached()
   /// call is a pure logical outcome. check()/implies() reset it before
   /// each call and only store into the verdict cache while it holds;
-  /// SupervisedSolver clears it when a verdict was shaped by supervision
-  /// (fault, failover, breaker, quarantine) — such verdicts are
-  /// resource/fault outcomes and must never be admitted into the cache,
-  /// exactly like budget-degraded ones.
+  /// FailoverSolver clears it when every backend failed and the check
+  /// degraded to Unknown — a fault outcome that must never be admitted
+  /// into the cache, exactly like a budget-degraded one.
   bool lastCheckCacheable_ = true;
 
  private:

@@ -28,7 +28,7 @@ class Z3Solver : public SolverBase {
     } catch (const z3::exception& e) {
       // Internal engine trouble (resource limits inside z3, translation
       // raising) is a backend failure, not bad input: typed so that
-      // supervision (smt/supervised_solver.hpp) can retry or fail over.
+      // smt::FailoverSolver (smt/failover_solver.hpp) can fail over.
       throw SolverBackendError("z3", e.msg());
     }
   }
@@ -77,7 +77,13 @@ class Z3Solver : public SolverBase {
     if (result == Sat::Unsat) ++stats_.unsat;
     if (result == Sat::Unknown) {
       ++stats_.unknown;
-      if (guard_ != nullptr && !guard_->checkDeadline()) ++stats_.budgetTrips;
+      // Z3 gave up at the translated deadline: a budget trip, not a
+      // logical answer. Ask Z3 first — the guard samples its clock only
+      // every so often, and Z3's millisecond timeout rounds down.
+      if (guard_ != nullptr && (solver.reason_unknown() == "timeout" ||
+                                !guard_->checkDeadline())) {
+        ++stats_.budgetTrips;
+      }
     }
     return result;
   }

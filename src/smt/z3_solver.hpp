@@ -11,8 +11,8 @@
 // When the library is built without Z3, makeZ3Solver returns nullptr and
 // z3Available() is false; callers (benchmarks, tests) skip accordingly.
 // Engine trouble — a missing build, or z3 raising mid-check — surfaces
-// as faure::SolverBackendError (util/error.hpp) so supervision layers
-// can distinguish backend failure from bad input.
+// as faure::SolverBackendError (util/error.hpp) so smt::FailoverSolver
+// can tell backend failure from bad input.
 #pragma once
 
 #include <memory>

@@ -50,9 +50,8 @@ class EvalError : public Error {
 /// A solver backend failed for reasons of its own — the engine is
 /// missing (a build without Z3), the backing library raised, or a check
 /// aborted inside the backend. Distinct from EvalError (bad input) so
-/// the fault-tolerance layer (smt::SupervisedSolver) can catch engine
-/// trouble and retry / fail over without masking genuine programming
-/// errors.
+/// smt::FailoverSolver can catch engine trouble and fail over without
+/// masking genuine programming errors.
 class SolverBackendError : public Error {
  public:
   SolverBackendError(std::string backend, const std::string& what)

@@ -237,12 +237,10 @@ constexpr const char* kSupervisionProgram =
     "R(f,a,b) :- F(f,a,c), R(f,c,b).\n";
 
 /// Clears the supervision env knobs: sessions constructed afterwards
-/// are plain. The suite may itself run under ambient chaos (tools/ci.sh
-/// chaos stage exports FAURE_CHAOS_SEED), so tests that assert the
-/// *unsupervised* structure of a Session must own these variables.
+/// are plain. The suite may itself run with them exported, so tests
+/// that assert the *unsupervised* structure of a Session own them.
 void clearSupervisionEnv() {
-  for (const char* var : {"FAURE_RETRIES", "FAURE_SOLVER_TIMEOUT_MS",
-                          "FAURE_FAILOVER", "FAURE_CHAOS_SEED"}) {
+  for (const char* var : {"FAURE_SOLVER_TIMEOUT_MS", "FAURE_FAILOVER"}) {
     ::unsetenv(var);
   }
 }
@@ -255,25 +253,24 @@ TEST(SessionTest, SetSupervisionWrapsAndUnwrapsWithoutChangingResults) {
 
   Session s;
   s.load(kSupervisionDb);
-  EXPECT_EQ(s.supervisedSolver(), nullptr);
+  EXPECT_EQ(s.failoverSolver(), nullptr);
   smt::SupervisionOptions sup;
-  sup.enabled = true;
-  sup.maxRetries = 2;
   sup.failover = true;
   s.setSupervision(sup);
-  ASSERT_NE(s.supervisedSolver(), nullptr);
-  EXPECT_EQ(s.supervisedSolver()->backends(), 2u);  // native + fallback
-  // The session cache moved into the wrapper rather than being lost.
+  ASSERT_NE(s.failoverSolver(), nullptr);
+  EXPECT_TRUE(s.failoverSolver()->options().failover);
+  // The session cache is attached to the wrapper rather than lost.
   EXPECT_EQ(s.solver().verdictCache(), s.solverCache());
 
   auto res = s.run(kSupervisionProgram);
   EXPECT_EQ(res.relation("R").size(), want.relation("R").size());
   auto check = s.check("panic :- !R('f0', 1, 3).");
   EXPECT_EQ(check.verdict, verify::Verdict::ConditionallyViolated);
+  EXPECT_EQ(s.failoverSolver()->failovers(), 0u);
 
   // Disabling unwraps back to the bare backend, cache intact.
   s.setSupervision(smt::SupervisionOptions{});
-  EXPECT_EQ(s.supervisedSolver(), nullptr);
+  EXPECT_EQ(s.failoverSolver(), nullptr);
   EXPECT_EQ(s.solver().verdictCache(), s.solverCache());
   auto res2 = s.run(kSupervisionProgram);
   EXPECT_EQ(res2.relation("R").size(), want.relation("R").size());
@@ -281,23 +278,22 @@ TEST(SessionTest, SetSupervisionWrapsAndUnwrapsWithoutChangingResults) {
 
 TEST(SessionTest, SupervisionEnvironmentActivatesAtConstruction) {
   clearSupervisionEnv();
-  ::setenv("FAURE_CHAOS_SEED", "20260807", 1);
-  ::setenv("FAURE_RETRIES", "2", 1);
-  Session chaotic;
+  ::setenv("FAURE_FAILOVER", "1", 1);
+  ::setenv("FAURE_SOLVER_TIMEOUT_MS", "500", 1);
+  Session supervised;
   clearSupervisionEnv();
 
-  ASSERT_NE(chaotic.supervisedSolver(), nullptr);
-  ASSERT_NE(chaotic.supervisedSolver()->supervision().chaos, nullptr);
-  EXPECT_EQ(chaotic.supervisedSolver()->supervision().chaos->seed(),
-            20260807u);
+  ASSERT_NE(supervised.failoverSolver(), nullptr);
+  EXPECT_TRUE(supervised.failoverSolver()->options().failover);
+  EXPECT_EQ(supervised.failoverSolver()->options().timeoutMs, 500.0);
 
-  // Chaos with the native fallback is output-transparent: the run and
-  // the verdict match an unsupervised session bit for bit.
+  // Failover is output-transparent: the run and the verdict match an
+  // unsupervised session bit for bit.
   Session plain;
   plain.load(kSupervisionDb);
-  chaotic.load(kSupervisionDb);
+  supervised.load(kSupervisionDb);
   auto want = plain.run(kSupervisionProgram);
-  auto got = chaotic.run(kSupervisionProgram);
+  auto got = supervised.run(kSupervisionProgram);
   ASSERT_EQ(got.relation("R").size(), want.relation("R").size());
   for (size_t i = 0; i < want.relation("R").rows().size(); ++i) {
     EXPECT_EQ(got.relation("R").rows()[i].vals,
@@ -305,12 +301,12 @@ TEST(SessionTest, SupervisionEnvironmentActivatesAtConstruction) {
     EXPECT_EQ(got.relation("R").rows()[i].cond,
               want.relation("R").rows()[i].cond);
   }
-  EXPECT_EQ(chaotic.check("panic :- !R('f0', 1, 3).").verdict,
+  EXPECT_EQ(supervised.check("panic :- !R('f0', 1, 3).").verdict,
             plain.check("panic :- !R('f0', 1, 3).").verdict);
 
   // A session constructed with a clean environment stays unsupervised.
   Session normal;
-  EXPECT_EQ(normal.supervisedSolver(), nullptr);
+  EXPECT_EQ(normal.failoverSolver(), nullptr);
 }
 
 TEST(SessionTest, WatchDeltaApiReevaluatesIncrementally) {
@@ -364,7 +360,7 @@ TEST(SessionTest, WatchEndsOnLoadRunOrSupervisionChange) {
 
   s.watch("U(a) :- T(a).");
   smt::SupervisionOptions sup;
-  sup.enabled = true;
+  sup.failover = true;
   s.setSupervision(sup);  // replaces the solver the engine points at
   EXPECT_EQ(s.incrementalEngine(), nullptr);
 }

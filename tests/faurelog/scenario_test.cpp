@@ -2,7 +2,7 @@
 // the fork-isolation contract (scenarios editing the same relation
 // divergently never observe each other, and a budget-tripped scenario
 // degrades alone), the fork-vs-fresh byte-identity contract at every
-// fan-out width (including under seeded chaos), the fan-out width
+// fan-out width (including with solver failover on), the fan-out width
 // resolution rules, the scenarios-file split, and the Database::clone()
 // snapshot the forks are built on.
 #include "faurelog/scenario.hpp"
@@ -15,7 +15,6 @@
 
 #include "datalog/parser.hpp"
 #include "faurelog/textio.hpp"
-#include "util/fault_plan.hpp"
 #include "util/thread_pool.hpp"
 
 namespace faure::fl {
@@ -48,7 +47,7 @@ ScenarioSet makeSet(ScenarioSetOptions opts = {}) {
 }
 
 /// The fork-vs-fresh oracle: the scenario replayed through its own
-/// single-scenario set (fresh parse, fresh epoch 0, serial, no chaos).
+/// single-scenario set (fresh parse, fresh epoch 0, serial, bare solver).
 ScenarioOutcome freshRun(const Scenario& s, int mode = -1) {
   ScenarioSetOptions opts;
   opts.eval.threads = 1;
@@ -174,11 +173,11 @@ TEST(ScenarioSetTest, BudgetTrippedScenarioDegradesAlone) {
   EXPECT_EQ(out[2].output, freshRun(scenarios[2], /*mode=*/0).output);
 }
 
-TEST(ScenarioSetTest, ForkMatchesFreshAtWidthEightUnderChaos) {
+TEST(ScenarioSetTest, ForkMatchesFreshAtWidthEightWithFailover) {
   // The widest isolation claim in one go: eight divergent scenarios
-  // fanned out at threads=8, forks supervised with a seeded chaos plan
-  // (primary faults + native failover) — every outcome must still be
-  // byte-identical to a serial, chaos-free single-scenario run.
+  // fanned out at threads=8, every fork's solver wrapped for failover
+  // with a per-check timeout — every outcome must still be
+  // byte-identical to a serial, unwrapped single-scenario run.
   std::vector<Scenario> scenarios;
   for (int i = 0; i < 8; ++i) {
     const std::string port = std::to_string(1000 + i * 7);
@@ -192,9 +191,8 @@ TEST(ScenarioSetTest, ForkMatchesFreshAtWidthEightUnderChaos) {
   }
   ScenarioSetOptions opts;
   opts.eval.threads = 8;
-  opts.supervision.enabled = true;
   opts.supervision.failover = true;
-  opts.supervision.chaos = util::FaultPlan::defaultChaos(20260807);
+  opts.supervision.timeoutMs = 500;
   ScenarioSet set = makeSet(std::move(opts));
   std::vector<ScenarioOutcome> out = set.evaluate(scenarios);
   ASSERT_EQ(out.size(), scenarios.size());

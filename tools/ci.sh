@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point. Stages mirror the jobs of .github/workflows/ci.yml
-# 1:1 — test, sanitize, tsan, chaos, serve, incremental, plan,
-# coverage, bench-gate — so every job can be reproduced locally with a
-# single command and "the serve stage failed" means the same thing in
-# both places. Set SKIP_ASAN=1 / SKIP_TSAN=1 / SKIP_CHAOS=1 /
-# SKIP_SERVE=1 / SKIP_INCREMENTAL=1 / SKIP_PLAN=1 / SKIP_BENCH_GATE=1
-# to drop a stage (e.g. TSan is slow on small boxes). The coverage
+# 1:1 — test, sanitize, tsan, serve, incremental, plan, coverage,
+# bench-gate — so every job can be reproduced locally with a single
+# command and "the serve stage failed" means the same thing in both
+# places. Set SKIP_ASAN=1 / SKIP_TSAN=1 / SKIP_SERVE=1 /
+# SKIP_INCREMENTAL=1 / SKIP_PLAN=1 / SKIP_BENCH_GATE=1 to drop a
+# stage (e.g. TSan is slow on small boxes). The coverage
 # stage is the one exception: it defaults to *skipped* locally
 # (gcovr + a Debug rebuild); opt in with RUN_COVERAGE=1.
 set -euo pipefail
@@ -34,28 +34,6 @@ if [[ "${SKIP_TSAN:-0}" != 1 ]]; then
   cmake --build build-tsan -j "$JOBS"
   FAURE_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
-fi
-
-if [[ "${SKIP_CHAOS:-0}" != 1 ]]; then
-  echo "==> chaos (seeded solver fault injection, DESIGN.md §9)"
-  # FAURE_CHAOS_SEED activates supervision + failover everywhere the
-  # environment path reaches (Session construction and the CLI): the
-  # primary solver backend suffers deterministic crashes / timeouts /
-  # spurious Unknowns keyed on (seed, formula hash) and fails over to
-  # the native fallback, so the whole suite must stay green with
-  # unchanged results. The seeds are FIXED — a failure under seed S
-  # replays exactly with FAURE_CHAOS_SEED=S, at any fan-out width:
-  #   1         smallest interesting seed (fault-dense schedule)
-  #   20260807  date-stamped seed used by cli_chaos_* tests and docs
-  #   64206     0xFACE — historical third opinion
-  # Keep this list in sync with .github/workflows/ci.yml (chaos job);
-  # .github/workflows/nightly.yml additionally sweeps a fresh
-  # date-derived seed every night.
-  for seed in 1 20260807 64206; do
-    echo "==> chaos seed ${seed} (FAURE_THREADS=4)"
-    FAURE_CHAOS_SEED=$seed FAURE_THREADS=4 \
-      ctest --test-dir build --output-on-failure -j "$JOBS"
-  done
 fi
 
 if [[ "${SKIP_SERVE:-0}" != 1 ]]; then

@@ -2,7 +2,7 @@
 """Byte-level determinism gate for the evaluation engine.
 
 Every physical layer of the engine — the solver verdict cache, the
-cost-based join planner, solver supervision, scenario fan-out — promises
+cost-based join planner, scenario fan-out — promises
 results byte-identical to running without it. This script enforces the
 promise end to end through the CLI: for each (database, program) pair it
 runs
@@ -27,17 +27,6 @@ fails if
 With --plan every variant additionally runs once with the join planner
 on and once with it off (FAURE_PLAN).
 
-With --chaos-seed N the whole matrix runs under seeded fault injection
-(FAURE_CHAOS_SEED, DESIGN.md §9): the supervised solver's primary
-backend suffers deterministic crashes/timeouts/spurious Unknowns and
-fails over to the native fallback. The default chaos plan only ever
-faults the primary, so every *result* bit must still match the
-no-chaos baseline — that is the supervision transparency contract this
-mode enforces. Fault-handling telemetry is physical, not logical: the
-`supervise:` stats line, `solver.supervise.*` / `events.supervise.*`
-counters, and `supervise.*` events are masked before comparison (which
-checks reach a backend — and hence can fault — depends on cache hits).
-
 With --edit-script EDITS the gate targets the incremental engine's
 oracle contract (DESIGN.md §10) instead: for each (database, program)
 pair it replays the edit script through `faure whatif` under every
@@ -48,9 +37,6 @@ needed) against the full-recompute cached baseline. It then runs
 incrementality from the `eval.inc.*` counters: both modes complete the
 same number of epochs, the incremental run re-fires strictly fewer
 rules than the oracle, and at least one stratum was reused verbatim.
---edit-script and --chaos-seed are mutually exclusive — chaos failover
-is supervised-run telemetry, while the oracle contract is about
-retained-state reuse.
 
 With --scenarios FILE the gate targets the concurrent scenario engine
 (DESIGN.md §12), the engine's only parallel path: the baseline is N
@@ -62,13 +48,13 @@ its exit code) inside its `=== scenario I: exit E ===` frame — the
 fan-out width (FAURE_THREADS, --threads) must be invisible in the
 bytes. One `faure serve` round-trip (EVAL/GO/QUIT over stdin at the
 widest fan-out) must answer the same bytes through RESULT frames.
---scenarios composes with --chaos-seed: the batch then runs under
-seeded fault injection while the baselines stay chaos-free, extending
-the supervision transparency contract to the scenario service.
+
+Every run has solver failover off (FAURE_FAILOVER and
+FAURE_SOLVER_TIMEOUT_MS are cleared), so the gate compares bare solvers.
 
 Usage:
     determinism_check.py --faure build/tools/faure [--plan] \
-        [--chaos-seed N | --edit-script edits.fl] \
+        [--edit-script edits.fl] \
         [--scenarios FILE [--threads 1,2,8]] \
         db1.fdb prog1.fl [db2.fdb prog2.fl ...]
 
@@ -89,8 +75,7 @@ import sys
 SECONDS = re.compile(r"\b(sql|solver|in) \d+\.\d+s|\b\d+\.\d+s\b")
 
 
-def run_cli(faure, args, threads=None, cache=True, chaos_seed=None,
-            plan=None):
+def run_cli(faure, args, threads=None, cache=True, plan=None):
     env = dict(os.environ)
     # Only the scenario fan-out reads FAURE_THREADS; pin it per variant
     # there and keep an inherited value out of everything else.
@@ -107,18 +92,14 @@ def run_cli(faure, args, threads=None, cache=True, chaos_seed=None,
     # Fault-injection knobs trip at a charge count, which moves with
     # the plan and cache settings; the matrix runs without them.
     env.pop("FAURE_FAIL_AFTER", None)
-    # Solver chaos is different: seeded, formula-keyed, and failover-
-    # transparent — the matrix either runs entirely under one seed
-    # (--chaos-seed) or entirely without it, never mixed.
-    for knob in ("FAURE_CHAOS_SEED", "FAURE_RETRIES",
-                 "FAURE_SOLVER_TIMEOUT_MS", "FAURE_FAILOVER"):
+    # Solver failover adds `supervise:` telemetry; the matrix compares
+    # bare solvers.
+    for knob in ("FAURE_SOLVER_TIMEOUT_MS", "FAURE_FAILOVER"):
         env.pop(knob, None)
     # The whatif matrix pins the mode per variant via --incremental /
     # --full-recompute; an inherited FAURE_INCREMENTAL must not leak
     # into the runs that rely on the CLI default.
     env.pop("FAURE_INCREMENTAL", None)
-    if chaos_seed is not None:
-        env["FAURE_CHAOS_SEED"] = str(chaos_seed)
     proc = subprocess.run(
         [faure] + args, env=env, capture_output=True, text=True, timeout=600
     )
@@ -127,13 +108,9 @@ def run_cli(faure, args, threads=None, cache=True, chaos_seed=None,
 
 def normalize_stats(text):
     """Masks wall-clock seconds on stats lines; everything else — every
-    table row, condition, and counter — stays byte-compared. The
-    `supervise:` fault-telemetry line is physical (see module doc) and
-    masked entirely."""
+    table row, condition, and counter — stays byte-compared."""
     out = []
     for line in text.splitlines(keepends=True):
-        if line.startswith("supervise:"):
-            continue  # absent entirely from unsupervised runs
         if line.startswith(("stats:", "solver:")):
             line = SECONDS.sub("<t>", line)
         out.append(line)
@@ -147,24 +124,18 @@ def normalize_report(text):
     counters = {
         name: value
         for name, value in report.get("metrics", {}).get("counters", {}).items()
-        if not name.startswith(
-            ("eval.plan.", "solver.cache.", "solver.supervise.",
-             "events.supervise.")
-        )
+        if not name.startswith(("eval.plan.", "solver.cache."))
     }
     info = {
         key: value
         for key, value in report.get("info", {}).items()
-        if key not in ("supervision", "chaos_seed", "plan")
+        if key != "plan"
     }
     # Events keep name + detail (budget trips and their machine-readable
     # reasons are part of the contract) but drop timestamps and span ids.
-    # `supervise.*` events (retries, faults, failovers) are per-backend-
-    # touch telemetry and dropped wholesale.
     events = [
         {"name": e.get("name"), "detail": e.get("detail")}
         for e in report.get("events", [])
-        if not str(e.get("name", "")).startswith("supervise.")
     ]
     return json.dumps(
         {
@@ -189,12 +160,9 @@ def diff(label, serial, other):
     return "".join(lines)
 
 
-def check_pair(faure, db, prog, chaos_seed=None, plan_sweep=False):
+def check_pair(faure, db, prog, plan_sweep=False):
     # The baseline is the cached run; the uncached one must match it
-    # after normalization. Under --chaos-seed the baseline additionally
-    # runs *without* injection while every variant runs with it — so one
-    # sweep enforces both cache transparency and the fault plan's output
-    # transparency. Under --plan every cache setting runs once with the
+    # after normalization. Under --plan every cache setting runs once with the
     # join planner on and once with it off; the planner is a physical
     # layer, so both must match the baseline byte for byte.
     plans = ("on", "off") if plan_sweep else (None,)
@@ -205,19 +173,12 @@ def check_pair(faure, db, prog, chaos_seed=None, plan_sweep=False):
         ("run --metrics", [db, prog, "--metrics"], normalize_report),
     ):
         baseline = None
-        if chaos_seed is not None:
-            code, out = run_cli(faure, ["run"] + args)
-            baseline = ("no-chaos baseline", code,
-                        normalize(out) if normalize else out)
         for cache, plan in variants:
-            code, out = run_cli(faure, ["run"] + args, None, cache,
-                                chaos_seed, plan)
-            view = normalize(out) if normalize else out
+            code, out = run_cli(faure, ["run"] + args, None, cache, plan)
+            view = normalize(out)
             label = f"cache={'on' if cache else 'off'}"
             if plan is not None:
                 label += f" plan={plan}"
-            if chaos_seed is not None:
-                label += f" chaos_seed={chaos_seed}"
             if baseline is None:
                 baseline = (label, code, view)
                 continue
@@ -261,8 +222,7 @@ def check_whatif_pair(faure, db, prog, edits, plan_sweep=False):
         for cache in (True, False):
             for plan in plans:
                 code, out = run_cli(
-                    faure, ["whatif"] + args + [mode_flag], None, cache,
-                    None, plan
+                    faure, ["whatif"] + args + [mode_flag], None, cache, plan
                 )
                 label = f"{mode_flag} cache={'on' if cache else 'off'}"
                 if plan is not None:
@@ -368,7 +328,7 @@ def parse_batch_frames(stdout):
     return frames
 
 
-def run_serve(faure, db, prog, blocks, threads, chaos_seed=None):
+def run_serve(faure, db, prog, blocks, threads):
     """Pipes an EVAL/GO/QUIT conversation through `faure serve` on
     stdin/stdout; -> [(id, exit, body)] parsed from the RESULT frames."""
     lines = []
@@ -383,12 +343,9 @@ def run_serve(faure, db, prog, blocks, threads, chaos_seed=None):
     lines += ["GO", "QUIT", ""]
     env = dict(os.environ)
     env["FAURE_THREADS"] = str(threads)
-    for knob in ("FAURE_CHAOS_SEED", "FAURE_RETRIES",
-                 "FAURE_SOLVER_TIMEOUT_MS", "FAURE_FAILOVER",
+    for knob in ("FAURE_SOLVER_TIMEOUT_MS", "FAURE_FAILOVER",
                  "FAURE_INCREMENTAL", "FAURE_PLAN", "FAURE_FAIL_AFTER"):
         env.pop(knob, None)
-    if chaos_seed is not None:
-        env["FAURE_CHAOS_SEED"] = str(chaos_seed)
     proc = subprocess.run(
         [faure, "serve", db, prog],
         input="\n".join(lines).encode(),
@@ -418,18 +375,17 @@ def run_serve(faure, db, prog, blocks, threads, chaos_seed=None):
 
 
 def check_scenarios_pair(faure, db, prog, scenarios, thread_counts,
-                         chaos_seed=None, plan_sweep=False):
+                         plan_sweep=False):
     """Scenario-service sweep (DESIGN.md §12): batch and serve output
     must be byte-identical to N single-scenario whatif runs at every
-    fan-out width, mode, cache and plan setting — and, with chaos_seed,
-    under seeded fault injection against chaos-free baselines."""
+    fan-out width, mode, cache and plan setting."""
     failures = []
     blocks = split_scenarios(scenarios)
     if not blocks:
         return [f"{scenarios}: no scenario blocks found"]
 
     # Baseline: one single-scenario whatif run per block — cache on,
-    # CLI defaults, never under chaos.
+    # CLI defaults.
     singles = []
     for i, block in enumerate(blocks):
         # PID-qualified so concurrent checkers (e.g. two ctest trees
@@ -485,7 +441,7 @@ def check_scenarios_pair(faure, db, prog, scenarios, thread_counts,
                         faure,
                         ["whatif", db, prog, "--scenarios", scenarios,
                          mode_flag],
-                        threads, cache, chaos_seed, plan,
+                        threads, cache, plan,
                     )
                     label = (
                         f"batch {mode_flag} threads={threads} "
@@ -493,15 +449,12 @@ def check_scenarios_pair(faure, db, prog, scenarios, thread_counts,
                     )
                     if plan is not None:
                         label += f" plan={plan}"
-                    if chaos_seed is not None:
-                        label += f" chaos_seed={chaos_seed}"
                     compare(parse_batch_frames(out), label, code)
 
     # Serve round-trip at the widest fan-out: the line protocol must
     # answer the same bytes the batch (and hence each single run) prints.
     try:
-        frames = run_serve(faure, db, prog, blocks, thread_counts[-1],
-                           chaos_seed)
+        frames = run_serve(faure, db, prog, blocks, thread_counts[-1])
     except RuntimeError as e:
         failures.append(f"{db} + {prog} + {scenarios} (serve): {e}")
     else:
@@ -518,13 +471,6 @@ def main():
         help="comma-separated scenario fan-out widths (FAURE_THREADS) for "
         "--scenarios (default: 1,2,8); evaluation itself is serial, so "
         "the other gates take no width",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="run the matrix under FAURE_CHAOS_SEED=N and also compare "
-        "against a no-chaos baseline (supervision transparency gate)",
     )
     parser.add_argument(
         "--edit-script",
@@ -560,11 +506,6 @@ def main():
     opts = parser.parse_args()
     if len(opts.pairs) % 2 != 0:
         parser.error("expected an even number of db/program paths")
-    if opts.edit_script is not None and opts.chaos_seed is not None:
-        parser.error(
-            "--edit-script and --chaos-seed are mutually exclusive "
-            "(see module doc)"
-        )
     if opts.edit_script is not None and opts.scenarios is not None:
         parser.error(
             "--edit-script and --scenarios are mutually exclusive "
@@ -578,11 +519,7 @@ def main():
     if opts.scenarios is not None and len(thread_counts) < 2:
         parser.error("need at least two fan-out widths to compare")
 
-    chaos = (
-        f" chaos_seed={opts.chaos_seed}" if opts.chaos_seed is not None else ""
-    )
-    if opts.plan:
-        chaos += " x plan on/off"
+    plan = " x plan on/off" if opts.plan else ""
     axes = (f"threads {widths}" if opts.scenarios is not None
             else "cache on/off")
     failures = []
@@ -591,7 +528,7 @@ def main():
         if opts.scenarios is not None:
             pair_failures = check_scenarios_pair(
                 opts.faure, db, prog, opts.scenarios, thread_counts,
-                opts.chaos_seed, opts.plan
+                opts.plan
             )
         elif opts.edit_script is not None:
             pair_failures = check_whatif_pair(
@@ -599,7 +536,7 @@ def main():
             )
         else:
             pair_failures = check_pair(
-                opts.faure, db, prog, opts.chaos_seed, opts.plan
+                opts.faure, db, prog, opts.plan
             )
         failures += pair_failures
         status = "DIVERGED" if pair_failures else "identical"
@@ -611,7 +548,7 @@ def main():
             tag = ""
         print(
             f"{os.path.basename(db)} + {os.path.basename(prog)}{tag}: "
-            f"{axes}{chaos} -> {status}"
+            f"{axes}{plan} -> {status}"
         )
 
     if failures:
@@ -619,13 +556,13 @@ def main():
         return 1
     if opts.scenarios is not None:
         print(
-            f"scenario determinism holds across {axes}{chaos} "
+            f"scenario determinism holds across {axes}{plan} "
             f"(batch + serve vs single-scenario runs)"
         )
     elif opts.edit_script is not None:
-        print(f"incremental determinism holds across modes x {axes}{chaos}")
+        print(f"incremental determinism holds across modes x {axes}{plan}")
     else:
-        print(f"determinism holds across {axes}{chaos}")
+        print(f"determinism holds across {axes}{plan}")
     return 0
 
 

@@ -64,16 +64,17 @@
 // FAURE_MAX_TUPLES, FAURE_MAX_SOLVER_CHECKS, FAURE_MAX_MEMORY,
 // FAURE_FAIL_AFTER.
 //
-// Fault tolerance (run and check; see DESIGN.md §9): any of these wraps
-// the solver in a SupervisedSolver (watchdog, bounded deterministic
-// retry, circuit breaker, failover, seeded chaos injection):
-//   --retries N             retry a failed backend call up to N times
-//   --solver-timeout-ms MS  per-attempt watchdog deadline
-//   --failover              append a native last-resort backend
-//   --chaos-seed N          deterministic fault injection (implies
-//                           --failover; N = 0 disables)
-// Environment defaults: FAURE_RETRIES, FAURE_SOLVER_TIMEOUT_MS,
-// FAURE_FAILOVER, FAURE_CHAOS_SEED.
+// Solver failover (see DESIGN.md §9): either flag wraps the solver in
+// an smt::FailoverSolver. A primary check that throws or times out is
+// answered by the native solver with --failover, else it degrades to
+// unknown:
+//   --solver-timeout-ms MS  per-check deadline of the primary solver
+//   --failover              the native solver answers failed checks
+// Environment defaults: FAURE_SOLVER_TIMEOUT_MS, FAURE_FAILOVER.
+//
+// Numeric flag values are strict: the whole value must be a number
+// (counts unsigned, durations finite), else `invalid value` and exit 1.
+// An unknown flag is named (`unknown option '<flag>'`) before the usage.
 //
 // Exit codes (stable contract, tested by tests/cli):
 //   0  definite result — run completed; check verdict is holds /
@@ -89,11 +90,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "datalog/parser.hpp"
 #include "faurelog/eval.hpp"
@@ -103,11 +107,10 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "relational/worlds.hpp"
-#include "smt/supervised_solver.hpp"
+#include "smt/failover_solver.hpp"
 #include "smt/verdict_cache.hpp"
 #include "smt/z3_solver.hpp"
 #include "util/error.hpp"
-#include "util/fault_plan.hpp"
 #include "util/resource_guard.hpp"
 #include "verify/verifier.hpp"
 
@@ -174,31 +177,72 @@ int usage() {
       "budget options (degrade to incomplete/unknown, never hang):\n"
       "  --deadline S  --max-steps N  --max-tuples N\n"
       "  --max-solver-checks N  --fail-after N\n"
-      "fault-tolerance options (DESIGN.md \"Fault tolerance\"):\n"
-      "  --retries N  --solver-timeout-ms MS  --failover  --chaos-seed N\n"
+      "solver failover (DESIGN.md \"Solver failover\"):\n"
+      "  --solver-timeout-ms MS  --failover\n"
       "exit codes: 0 definite result, 1 hard error, 2 degraded result\n"
       "            (run incomplete / check verdict unknown)\n");
   return 1;
 }
 
+/// Names a flag the command does not take, then prints the usage.
+int unknownOption(const char* flag) {
+  std::fprintf(stderr, "faure: unknown option '%s'\n", flag);
+  return usage();
+}
+
+/// The value of the flag at argv[i], advancing i past it.
+const char* flagValue(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    throw Error(std::string("missing value for ") + argv[i]);
+  }
+  return argv[++i];
+}
+
+/// Strict numeric value of `flag`: the whole of `text` must be a
+/// number — an unsigned decimal for an integral T (a count), a finite
+/// one for a floating-point T.
+template <typename T>
+T parseNumber(const char* flag, const char* text) {
+  // strto* would skip leading blanks and take a sign; a count takes
+  // neither, a duration only the sign.
+  const bool digit = text[0] >= '0' && text[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  bool ok = false;
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    unsigned long long v = std::strtoull(text, &end, 10);
+    ok = digit && errno == 0 && v <= std::numeric_limits<T>::max();
+    value = static_cast<T>(v);
+  } else {
+    value = static_cast<T>(std::strtod(text, &end));
+    ok = (digit || std::strchr("+-.", text[0]) != nullptr) &&
+         end != text && std::isfinite(value);
+  }
+  if (!ok || *end != '\0') {
+    throw Error(std::string("invalid value '") + text + "' for " + flag);
+  }
+  return value;
+}
+
 /// Parses one budget flag at argv[i] (advancing i past its value);
 /// returns false when argv[i] is not a budget flag.
 bool parseBudgetFlag(int argc, char** argv, int& i, ResourceLimits& limits) {
-  auto need = [&](uint64_t& out) {
-    if (i + 1 >= argc) throw Error("missing value for budget option");
-    out = std::strtoull(argv[++i], nullptr, 10);
+  const char* flag = argv[i];
+  auto count = [&](uint64_t& out) {
+    out = parseNumber<uint64_t>(flag, flagValue(argc, argv, i));
   };
-  if (std::strcmp(argv[i], "--deadline") == 0) {
-    if (i + 1 >= argc) throw Error("missing value for --deadline");
-    limits.deadlineSeconds = std::strtod(argv[++i], nullptr);
-  } else if (std::strcmp(argv[i], "--max-steps") == 0) {
-    need(limits.maxSteps);
-  } else if (std::strcmp(argv[i], "--max-tuples") == 0) {
-    need(limits.maxTuples);
-  } else if (std::strcmp(argv[i], "--max-solver-checks") == 0) {
-    need(limits.maxSolverChecks);
-  } else if (std::strcmp(argv[i], "--fail-after") == 0) {
-    need(limits.failAfter);
+  if (std::strcmp(flag, "--deadline") == 0) {
+    limits.deadlineSeconds =
+        parseNumber<double>(flag, flagValue(argc, argv, i));
+  } else if (std::strcmp(flag, "--max-steps") == 0) {
+    count(limits.maxSteps);
+  } else if (std::strcmp(flag, "--max-tuples") == 0) {
+    count(limits.maxTuples);
+  } else if (std::strcmp(flag, "--max-solver-checks") == 0) {
+    count(limits.maxSolverChecks);
+  } else if (std::strcmp(flag, "--fail-after") == 0) {
+    count(limits.failAfter);
   } else {
     return false;
   }
@@ -210,21 +254,14 @@ bool parseBudgetFlag(int argc, char** argv, int& i, ResourceLimits& limits) {
 /// false when argv[i] is not a thread flag.
 bool parseThreadsFlag(int argc, char** argv, int& i,
                       std::optional<unsigned>& threads) {
-  auto parse = [](const char* s) {
-    return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  };
   if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-    threads = parse(argv[i] + 10);
+    threads = parseNumber<unsigned>("--threads", argv[i] + 10);
   } else if (std::strcmp(argv[i], "--threads") == 0) {
-    if (i + 1 >= argc) throw Error("missing value for --threads");
-    threads = parse(argv[++i]);
+    threads = parseNumber<unsigned>("--threads", flagValue(argc, argv, i));
   } else if (std::strncmp(argv[i], "-j", 2) == 0) {
-    if (argv[i][2] != '\0') {
-      threads = parse(argv[i] + 2);
-    } else {
-      if (i + 1 >= argc) throw Error("missing value for -j");
-      threads = parse(argv[++i]);
-    }
+    const char* value =
+        argv[i][2] != '\0' ? argv[i] + 2 : flagValue(argc, argv, i);
+    threads = parseNumber<unsigned>("-j", value);
   } else {
     return false;
   }
@@ -236,10 +273,10 @@ bool parseThreadsFlag(int argc, char** argv, int& i,
 /// returns false when argv[i] is not the cache flag.
 bool parseSolverCacheFlag(int argc, char** argv, int& i, size_t& entries) {
   if (std::strncmp(argv[i], "--solver-cache=", 15) == 0) {
-    entries = static_cast<size_t>(std::strtoull(argv[i] + 15, nullptr, 10));
+    entries = parseNumber<size_t>("--solver-cache", argv[i] + 15);
   } else if (std::strcmp(argv[i], "--solver-cache") == 0) {
-    if (i + 1 >= argc) throw Error("missing value for --solver-cache");
-    entries = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+    entries =
+        parseNumber<size_t>("--solver-cache", flagValue(argc, argv, i));
   } else {
     return false;
   }
@@ -255,8 +292,7 @@ bool parsePlanFlag(int argc, char** argv, int& i,
   if (std::strncmp(argv[i], "--plan=", 7) == 0) {
     value = argv[i] + 7;
   } else if (std::strcmp(argv[i], "--plan") == 0) {
-    if (i + 1 >= argc) throw Error("missing value for --plan");
-    value = argv[++i];
+    value = flagValue(argc, argv, i);
   } else {
     return false;
   }
@@ -284,84 +320,35 @@ const char* planModeName(fl::PlanMode m) {
   return "on";
 }
 
-/// Parses one fault-tolerance flag at argv[i] (advancing i past its
-/// value); returns false when argv[i] is not a supervision flag. `sup`
-/// starts from SupervisionOptions::fromEnv(), so flags override the
-/// FAURE_* environment defaults.
+/// Parses one failover flag at argv[i] (advancing i past its value);
+/// returns false when argv[i] is not one. `sup` starts from
+/// SupervisionOptions::fromEnv(), so flags override the FAURE_*
+/// environment defaults.
 bool parseSupervisionFlag(int argc, char** argv, int& i,
                           smt::SupervisionOptions& sup) {
-  auto need = [&](const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      throw Error(std::string("missing value for ") + flag);
-    }
-    return argv[++i];
-  };
-  if (std::strcmp(argv[i], "--retries") == 0) {
-    sup.maxRetries =
-        static_cast<int>(std::strtol(need("--retries"), nullptr, 10));
-    sup.enabled = true;
-  } else if (std::strcmp(argv[i], "--solver-timeout-ms") == 0) {
-    sup.watchdogMs = std::strtod(need("--solver-timeout-ms"), nullptr);
-    sup.enabled = true;
+  if (std::strcmp(argv[i], "--solver-timeout-ms") == 0) {
+    sup.timeoutMs = parseNumber<double>("--solver-timeout-ms",
+                                        flagValue(argc, argv, i));
   } else if (std::strcmp(argv[i], "--failover") == 0) {
     sup.failover = true;
-    sup.enabled = true;
-  } else if (std::strcmp(argv[i], "--chaos-seed") == 0) {
-    uint64_t seed = std::strtoull(need("--chaos-seed"), nullptr, 10);
-    if (seed == 0) {
-      sup.chaos = nullptr;
-    } else {
-      sup.chaos = util::FaultPlan::defaultChaos(seed);
-      sup.seed = seed;
-      // The default plan faults only the primary backend; the native
-      // last resort keeps chaos runs output-transparent.
-      sup.failover = true;
-      sup.enabled = true;
-    }
   } else {
     return false;
   }
   return true;
 }
 
-/// Wraps `solver` in a SupervisedSolver when supervision is enabled
-/// (the wrapper adopts the solver's verdict cache).
-void superviseSolver(std::unique_ptr<smt::SolverBase>& solver,
-                     const char* name, const rel::Database& db,
-                     const smt::SupervisionOptions& sup) {
-  if (!sup.enabled) return;
-  auto wrapped = std::make_unique<smt::SupervisedSolver>(db.cvars(), sup);
-  wrapped->addBackend(name, std::move(solver));
-  if (sup.failover) wrapped->addNativeFallback();
-  solver = std::move(wrapped);
-}
-
-/// Supervision entries for the run report / --stats.
+/// Supervision entry for the run report / --stats.
 void addSupervisionMeta(obs::ReportMeta& meta,
                         const smt::SupervisionOptions& sup) {
-  if (!sup.enabled) return;
-  meta.add("supervision", "on");
-  if (sup.chaos != nullptr) {
-    meta.add("chaos_seed", std::to_string(sup.chaos->seed()));
-  }
+  if (sup.enabled()) meta.add("supervision", "on");
 }
 
 void printSuperviseStats(const obs::MetricsSnapshot& snap) {
-  std::printf(
-      "supervise: %llu retries, %llu failovers, %llu breaker-open, "
-      "%llu quarantined, %llu watchdog-trips, %llu faults-injected\n",
-      static_cast<unsigned long long>(
-          snap.counter("solver.supervise.retries")),
-      static_cast<unsigned long long>(
-          snap.counter("solver.supervise.failovers")),
-      static_cast<unsigned long long>(
-          snap.counter("solver.supervise.breaker_open")),
-      static_cast<unsigned long long>(
-          snap.counter("solver.supervise.quarantined")),
-      static_cast<unsigned long long>(
-          snap.counter("solver.supervise.watchdog_trips")),
-      static_cast<unsigned long long>(
-          snap.counter("solver.supervise.faults_injected")));
+  std::printf("supervise: %llu failovers, %llu degraded\n",
+              static_cast<unsigned long long>(
+                  snap.counter("solver.supervise.failovers")),
+              static_cast<unsigned long long>(
+                  snap.counter("solver.supervise.degraded")));
 }
 
 /// Observability flags shared by run and check.
@@ -489,14 +476,14 @@ int cmdRun(int argc, char** argv) {
   ResourceLimits limits = ResourceLimits::fromEnv();
   smt::SupervisionOptions sup = smt::SupervisionOptions::fromEnv();
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--relation") == 0 && i + 1 < argc) {
-      relation = argv[++i];
+    if (std::strcmp(argv[i], "--relation") == 0) {
+      relation = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--simplify") == 0) {
       simplify = true;
-    } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-      solverName = argv[++i];
-    } else if (std::strcmp(argv[i], "--db-out") == 0 && i + 1 < argc) {
-      dbOut = argv[++i];
+    } else if (std::strcmp(argv[i], "--solver") == 0) {
+      solverName = flagValue(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--db-out") == 0) {
+      dbOut = flagValue(argc, argv, i);
     } else if (parsePlanFlag(argc, argv, i, plan)) {
       continue;
     } else if (parseSolverCacheFlag(argc, argv, i, cacheEntries)) {
@@ -508,7 +495,7 @@ int cmdRun(int argc, char** argv) {
     } else if (parseSupervisionFlag(argc, argv, i, sup)) {
       continue;
     } else {
-      return usage();
+      return unknownOption(argv[i]);
     }
   }
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
@@ -519,7 +506,7 @@ int cmdRun(int argc, char** argv) {
     cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
     solver->setVerdictCache(cache.get());
   }
-  superviseSolver(solver, solverName, db, sup);
+  solver = smt::supervise(std::move(solver), sup);
   std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
   ResourceGuard guard(limits);
   fl::EvalOptions opts;
@@ -561,7 +548,7 @@ int cmdRun(int argc, char** argv) {
     obs::MetricsSnapshot snap = tracer->metrics().snapshot();
     printEvalStats(snap);
     printSolverStats(snap);
-    if (sup.enabled) printSuperviseStats(snap);
+    if (sup.enabled()) printSuperviseStats(snap);
   }
   if (tracer != nullptr) {
     obs::ReportMeta meta;
@@ -620,10 +607,10 @@ int cmdWhatif(int argc, char** argv) {
   smt::SupervisionOptions sup = smt::SupervisionOptions::fromEnv();
   int mode = -1;  // -1: FAURE_INCREMENTAL env; 0: oracle; 1: incremental
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--relation") == 0 && i + 1 < argc) {
-      relation = argv[++i];
-    } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-      solverName = argv[++i];
+    if (std::strcmp(argv[i], "--relation") == 0) {
+      relation = flagValue(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--solver") == 0) {
+      solverName = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--incremental") == 0) {
       mode = 1;
     } else if (std::strcmp(argv[i], "--full-recompute") == 0) {
@@ -639,7 +626,7 @@ int cmdWhatif(int argc, char** argv) {
     } else if (parseSupervisionFlag(argc, argv, i, sup)) {
       continue;
     } else {
-      return usage();
+      return unknownOption(argv[i]);
     }
   }
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
@@ -651,7 +638,7 @@ int cmdWhatif(int argc, char** argv) {
     cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
     solver->setVerdictCache(cache.get());
   }
-  superviseSolver(solver, solverName, db, sup);
+  solver = smt::supervise(std::move(solver), sup);
   std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
   ResourceGuard guard(limits);
   fl::EvalOptions opts;
@@ -719,7 +706,7 @@ int cmdWhatif(int argc, char** argv) {
     printEvalStats(snap);
     printSolverStats(snap);
     printIncStats(eng.stats());
-    if (sup.enabled) printSuperviseStats(snap);
+    if (sup.enabled()) printSuperviseStats(snap);
   }
   if (tracer != nullptr) {
     obs::ReportMeta meta;
@@ -761,10 +748,10 @@ struct ScenarioCliFlags {
 
 bool parseScenarioCommonFlag(int argc, char** argv, int& i,
                              ScenarioCliFlags& f) {
-  if (std::strcmp(argv[i], "--relation") == 0 && i + 1 < argc) {
-    f.relation = argv[++i];
-  } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-    f.solverName = argv[++i];
+  if (std::strcmp(argv[i], "--relation") == 0) {
+    f.relation = flagValue(argc, argv, i);
+  } else if (std::strcmp(argv[i], "--solver") == 0) {
+    f.solverName = flagValue(argc, argv, i);
   } else if (std::strcmp(argv[i], "--incremental") == 0) {
     f.mode = 1;
   } else if (std::strcmp(argv[i], "--full-recompute") == 0) {
@@ -813,14 +800,14 @@ int cmdWhatifBatch(int argc, char** argv) {
   const char* scenariosFile = nullptr;
   ScenarioCliFlags flags;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scenarios") == 0 && i + 1 < argc) {
-      scenariosFile = argv[++i];
+    if (std::strcmp(argv[i], "--scenarios") == 0) {
+      scenariosFile = flagValue(argc, argv, i);
     } else if (std::strncmp(argv[i], "--scenarios=", 12) == 0) {
       scenariosFile = argv[i] + 12;
     } else if (parseScenarioCommonFlag(argc, argv, i, flags)) {
       continue;
     } else {
-      return usage();
+      return unknownOption(argv[i]);
     }
   }
   if (scenariosFile == nullptr) return usage();
@@ -863,7 +850,7 @@ int cmdWhatifBatch(int argc, char** argv) {
     printEvalStats(snap);
     printSolverStats(snap);
     printServeStats(snap);
-    if (flags.sup.enabled) printSuperviseStats(snap);
+    if (flags.sup.enabled()) printSuperviseStats(snap);
   }
   if (tracer != nullptr) {
     fl::EvalOptions fanout;
@@ -1001,14 +988,14 @@ int cmdServe(int argc, char** argv) {
   const char* socketPath = nullptr;
   ScenarioCliFlags flags;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
-      socketPath = argv[++i];
+    if (std::strcmp(argv[i], "--socket") == 0) {
+      socketPath = flagValue(argc, argv, i);
     } else if (std::strncmp(argv[i], "--socket=", 9) == 0) {
       socketPath = argv[i] + 9;
     } else if (parseScenarioCommonFlag(argc, argv, i, flags)) {
       continue;
     } else {
-      return usage();
+      return unknownOption(argv[i]);
     }
   }
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
@@ -1042,7 +1029,7 @@ int cmdCheck(int argc, char** argv) {
     } else if (parseSupervisionFlag(argc, argv, i, sup)) {
       continue;
     } else {
-      return usage();
+      return unknownOption(argv[i]);
     }
   }
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
@@ -1055,7 +1042,7 @@ int cmdCheck(int argc, char** argv) {
     cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
     solver->setVerdictCache(cache.get());
   }
-  superviseSolver(solver, "native", db, sup);
+  solver = smt::supervise(std::move(solver), sup);
   std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
   solver->setTracer(tracer.get());
   ResourceGuard guard(limits);
@@ -1090,7 +1077,7 @@ int cmdCheck(int argc, char** argv) {
     if (obsFlags.stats) {
       obs::MetricsSnapshot snap = tracer->metrics().snapshot();
       printSolverStats(snap);
-      if (sup.enabled) printSuperviseStats(snap);
+      if (sup.enabled()) printSuperviseStats(snap);
     }
   }
   if (tracer != nullptr) {
@@ -1112,7 +1099,7 @@ int cmdCheck(int argc, char** argv) {
 int cmdWorlds(int argc, char** argv) {
   if (argc < 1 || argc > 2) return usage();
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
-  uint64_t cap = argc == 2 ? std::strtoull(argv[1], nullptr, 10) : 1024;
+  uint64_t cap = argc == 2 ? parseNumber<uint64_t>("cap", argv[1]) : 1024;
   size_t count = 0;
   bool ok = rel::forEachWorld(
       db, cap, [&](const smt::Assignment& a, const rel::World& world) {

@@ -20,11 +20,21 @@
 //
 //   plan   — EvalOptions::plan = PlanMode::On: greedy selectivity
 //            reorder plus persistent indexes. Recorded as
-//            `join[N].wall_seconds`; the smallest size's entry is the
-//            calibration unit for tools/bench_check.py --family join
-//            against bench/baseline_join.json.
+//            `join[N].wall_seconds`.
 //   noplan — PlanMode::Off, the pristine program-order path. Recorded
 //            as `join[N].noplan.wall_seconds` plus a speedup gauge.
+//
+// Around each timed evaluation a fixed kernel that runs no engine code
+// is timed too, once before and once after. An entry keeps the
+// repetition whose wall is smallest relative to the mean of its two
+// probes, and records that wall and that mean as `join[N].wall_seconds`
+// and `join[N].probe_seconds` (`join[N].noplan.` for noplan).
+// tools/bench_check.py --family join compares each wall over its own
+// probe against bench/baseline_join.json, so a host slowdown that lasts
+// through a repetition moves its probe as well.
+// An engine entry would make a poor unit: a change that speeds up the
+// join path moves the unit with it, and the smallest entry's ~1 ms
+// best-of-3 is bimodal on shared hosts.
 //
 // Every run's derived tables are rendered to text in both modes and the
 // harness aborts on any byte difference, so a bench run is also a
@@ -33,11 +43,13 @@
 // tracer so the report carries the eval.plan.* counters.
 //
 // Knobs: FAURE_JOIN_SIZES (default "600,1200"), FAURE_JOIN_REPS
-// (best-of, default 3), FAURE_SOLVER_CACHE (verdict cache entries; 0
+// (best-of, default 5), FAURE_SOLVER_CACHE (verdict cache entries; 0
 // disables), FAURE_BENCH_JSON (report path, default BENCH_join.json,
 // "0" skips), FAURE_BENCH_TRACE=0 detaches the tracer. The report is
 // the span-free bench summary; FAURE_BENCH_FULL_SPANS=1 restores the
 // raw span tree.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,9 +114,51 @@ std::string makeDbText(size_t n) {
   return text;
 }
 
+/// The calibration probe: format kProbeKeys short keys (kProbeDistinct
+/// of them distinct), count them in an open-addressing table and sort
+/// the distinct ones — no engine code. About 2 ms on an idle 4-vCPU
+/// host. Returns its wall time.
+constexpr size_t kProbeKeys = 20000;
+constexpr size_t kProbeDistinct = 5000;
+constexpr size_t kProbeSlots = 1 << 14;  // > kProbeDistinct: probing ends
+char probeText[kProbeKeys][16];
+uint32_t probeSlots[kProbeSlots];
+const char* probeFirst[kProbeSlots];
+
+double probeSeconds() {
+  util::Stopwatch watch;
+  watch.lap();
+  std::memset(probeSlots, 0, sizeof probeSlots);
+  std::vector<const char*> keys;
+  for (size_t i = 0; i < kProbeKeys; ++i) {
+    std::snprintf(probeText[i], sizeof probeText[i], "key%zu",
+                  (i * 7919) % kProbeDistinct);
+    uint32_t h = 2166136261u;
+    for (const char* c = probeText[i]; *c != '\0'; ++c) {
+      h = (h ^ static_cast<uint8_t>(*c)) * 16777619u;
+    }
+    size_t slot = h & (kProbeSlots - 1);
+    while (probeSlots[slot] != 0 &&
+           std::strcmp(probeFirst[slot], probeText[i]) != 0) {
+      slot = (slot + 1) & (kProbeSlots - 1);
+    }
+    if (probeSlots[slot]++ == 0) {
+      probeFirst[slot] = probeText[i];
+      keys.push_back(probeText[i]);
+    }
+  }
+  std::sort(keys.begin(), keys.end(), [](const char* a, const char* b) {
+    return std::strcmp(a, b) < 0;
+  });
+  return watch.lap();
+}
+
 struct ModeResult {
-  double wallSeconds = 0.0;  // best of FAURE_JOIN_REPS evaluations
-  std::string rendering;     // every derived table, text form
+  // Of FAURE_JOIN_REPS evaluations, the one with the best wall-to-probe
+  // ratio: its wall, and the mean of the probes before and after it.
+  double wallSeconds = 0.0;
+  double probeSeconds = 0.0;
+  std::string rendering;      // every derived table, text form
   bool incomplete = false;
 };
 
@@ -124,11 +178,17 @@ ModeResult runMode(const std::string& dbText, fl::PlanMode plan,
     fl::EvalOptions opts;
     opts.plan = plan;
     opts.tracer = tracer;
+    const double before = probeSeconds();
     util::Stopwatch watch;
     watch.lap();
     fl::EvalResult res = fl::evalFaure(program, db, &solver, opts);
     const double wall = watch.lap();
-    if (rep == 0 || wall < out.wallSeconds) out.wallSeconds = wall;
+    const double probe = (before + probeSeconds()) / 2.0;
+    if (rep == 0 ||
+        wall / probe < out.wallSeconds / out.probeSeconds) {
+      out.wallSeconds = wall;
+      out.probeSeconds = probe;
+    }
     out.incomplete = res.incomplete;
     out.rendering.clear();
     for (const auto& [name, table] : res.idb) {
@@ -159,11 +219,11 @@ int main() {
     sizes = parseList(list);
     if (sizes.empty()) sizes = {600, 1200};
   }
-  size_t reps = 3;
+  size_t reps = 5;
   if (const char* n = std::getenv("FAURE_JOIN_REPS");
       n != nullptr && n[0] != '\0') {
     reps = static_cast<size_t>(std::strtoull(n, nullptr, 10));
-    if (reps == 0) reps = 3;
+    if (reps == 0) reps = 5;
   }
 
   obs::Tracer tracer;
@@ -175,7 +235,7 @@ int main() {
 
   std::printf(
       "---- cost-based join planning vs program order "
-      "(best of %zu evaluations per mode) ----\n",
+      "(best of %zu evaluations per mode, relative to the probe) ----\n",
       reps);
   std::printf("%8s | %12s %12s %8s\n", "#rows", "noplan (s)", "plan (s)",
               "speedup");
@@ -213,6 +273,8 @@ int main() {
       const std::string base = "join[" + std::to_string(n) + "].";
       reg.gauge(base + "wall_seconds").set(plan.wallSeconds);
       reg.gauge(base + "noplan.wall_seconds").set(noplan.wallSeconds);
+      reg.gauge(base + "probe_seconds").set(plan.probeSeconds);
+      reg.gauge(base + "noplan.probe_seconds").set(noplan.probeSeconds);
       reg.gauge(base + "speedup").set(speedup);
     }
   }

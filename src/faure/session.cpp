@@ -37,6 +37,7 @@ void Session::setSupervision(const smt::SupervisionOptions& opts) {
     backend = std::make_unique<smt::NativeSolver>(db_.cvars());
   }
   solver_ = smt::supervise(std::move(backend), opts);
+  supervision_ = opts;
   solver_->setVerdictCache(cache_.get());
   solver_->setTracer(tracer_);
 }
@@ -100,6 +101,7 @@ fl::ScenarioSet Session::scenarios(std::string_view programText) {
   sopts.eval = opts_;
   sopts.eval.tracer = tracer_;
   sopts.limits = guard_.active() ? guard_.limits() : ResourceLimits{};
+  sopts.supervision = supervision_;
   sopts.solverName = backend_ == Backend::Z3 ? "z3" : "native";
   return fl::ScenarioSet(std::move(program), db_.clone(), std::move(sopts));
 }

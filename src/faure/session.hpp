@@ -183,6 +183,7 @@ class Session {
   rel::Database db_;
   std::unique_ptr<smt::VerdictCache> cache_;  // before solver_: it outlives it
   std::unique_ptr<smt::SolverBase> solver_;
+  smt::SupervisionOptions supervision_;  // solver_'s, and scenario forks'
   fl::EvalOptions opts_;
   ResourceGuard guard_;
   obs::Tracer* tracer_ = nullptr;

@@ -7,9 +7,7 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
-#include "datalog/analysis.hpp"
 #include "relational/algebra.hpp"
 #include "smt/simplify.hpp"
 #include "smt/verdict_cache.hpp"
@@ -37,10 +35,6 @@ bool EvalResult::derived(const std::string& goal, smt::Formula* cond) const {
 
 namespace {
 
-using dl::Program;
-using dl::Rule;
-using dl::Term;
-
 /// A partial c-valuation: values for the rule's program variables (slots
 /// fill in literal order) plus the accumulated condition.
 struct CFrame {
@@ -61,7 +55,7 @@ struct Candidate {
 
 class FaureEvaluator {
  public:
-  FaureEvaluator(const Program& p, const rel::Database& db,
+  FaureEvaluator(const CompiledProgram& p, const rel::Database& db,
                  smt::SolverBase* solver, const EvalOptions& opts,
                  StrataPlan* plan = nullptr)
       : p_(p),
@@ -103,32 +97,28 @@ class FaureEvaluator {
     smt::ResourceGuardScope solverGuard(solver_, guard_);
     smt::TracerScope solverTracer(solver_, tracer_);
 
-    dl::checkSafety(p_);
-    std::unordered_map<std::string, size_t> external;
-    for (const auto& [name, table] : db_.tables()) {
-      external.emplace(name, table.schema().arity());
-    }
-    dl::checkArities(p_, external);
-    // A plan brings its own (refined) partition; stratify otherwise.
-    // Either way dl::stratify validates stratifiability — the plan's
-    // partition was derived from it by the incremental engine.
-    dl::Stratification strat =
-        plan_ != nullptr ? plan_->strata : dl::stratify(p_);
+    resolveRelations();
+    // A plan may bring its own (refined) partition of the same rules.
+    strata_ = plan_ != nullptr && plan_->strata != nullptr ? plan_->strata
+                                                           : &p_.strata();
     if (evalSpan) {
-      evalSpan.note("rules", std::to_string(p_.rules.size()));
-      evalSpan.note("strata", std::to_string(strat.ruleStrata.size()));
+      evalSpan.note("rules", std::to_string(p_.rules().size()));
+      evalSpan.note("strata", std::to_string(strata_->rules.size()));
     }
     if (plan_ != nullptr) {
-      if (plan_->runStratum.size() != strat.ruleStrata.size()) {
+      if (plan_->runStratum.size() != strata_->rules.size()) {
         throw EvalError("evalFaurePlanned: plan covers " +
                         std::to_string(plan_->runStratum.size()) +
                         " strata but the program stratifies into " +
-                        std::to_string(strat.ruleStrata.size()));
+                        std::to_string(strata_->rules.size()));
       }
       // Retained tables must land before any stratum runs: a dirty
       // stratum reads the skipped lower strata through findRelation.
       for (auto& [pred, table] : plan_->retained) {
-        idb_.insert_or_assign(pred, std::move(table));
+        rel::CTable& t =
+            idb_.insert_or_assign(pred, std::move(table)).first->second;
+        uint32_t id = p_.predId(pred);
+        if (id != CompiledProgram::kNoPred) idbById_[id] = &t;
       }
       if (evalSpan) {
         size_t live = 0;
@@ -139,9 +129,9 @@ class FaureEvaluator {
 
     bool degraded = false;
     try {
-      for (size_t s = 0; s < strat.ruleStrata.size(); ++s) {
+      for (size_t s = 0; s < strata_->rules.size(); ++s) {
         if (plan_ != nullptr && !plan_->runStratum[s]) continue;
-        evalStratum(strat, s);
+        evalStratum(s);
       }
     } catch (const BudgetTrip&) {
       degraded = true;
@@ -215,35 +205,70 @@ class FaureEvaluator {
     for (; it != rows.end() && *it < range.hi; ++it) fn(*it);
   }
 
-  const rel::CTable* findRelation(const std::string& pred) const {
-    auto it = idb_.find(pred);
-    if (it != idb_.end()) return &it->second;
-    return db_.find(pred);
+  /// Resolves each predicate's EDB relation in `db_` and checks its
+  /// arity against the program's (dl::checkArities' message), so no
+  /// firing looks a relation up by name.
+  void resolveRelations() {
+    const size_t n = p_.predicateCount();
+    edb_.assign(n, nullptr);
+    idbById_.assign(n, nullptr);
+    deltaStart_.assign(n, 0);
+    fullEnd_.assign(n, 0);
+    for (uint32_t id = 0; id < n; ++id) {
+      const rel::CTable* t = db_.find(p_.predName(id));
+      if (t != nullptr && t->schema().arity() != p_.arity(id)) {
+        throw EvalError("predicate '" + p_.predName(id) +
+                        "' used with arity " + std::to_string(p_.arity(id)) +
+                        " and " + std::to_string(t->schema().arity()));
+      }
+      edb_[id] = t;
+    }
+    if (opts_.openWorldNegation != nullptr) {
+      negFacts_.assign(n, nullptr);
+      for (const auto& [pred, facts] : opts_.openWorldNegation->facts) {
+        uint32_t id = p_.predId(pred);
+        if (id != CompiledProgram::kNoPred) negFacts_[id] = &facts;
+      }
+    }
+  }
+
+  const rel::CTable* findRelation(uint32_t pred) const {
+    return idbById_[pred] != nullptr ? idbById_[pred] : edb_[pred];
   }
 
   // IDB table for `pred`; if an EDB relation with the same name exists its
   // rows seed the table (the paper's q19 appends a fact to the EDB Lb).
-  rel::CTable& idbTable(const std::string& pred, size_t arity) {
-    auto it = idb_.find(pred);
-    if (it != idb_.end()) return it->second;
-    const rel::CTable* edb = db_.find(pred);
-    if (edb != nullptr) {
+  rel::CTable& idbTable(uint32_t pred) {
+    if (idbById_[pred] != nullptr) return *idbById_[pred];
+    const std::string& name = p_.predName(pred);
+    const size_t arity = p_.arity(pred);
+    rel::CTable* t = nullptr;
+    if (const rel::CTable* edb = edb_[pred]; edb != nullptr) {
       if (edb->schema().arity() != arity) {
-        throw EvalError("arity mismatch redefining '" + pred + "'");
+        throw EvalError("arity mismatch redefining '" + name + "'");
       }
-      return idb_.emplace(pred, *edb).first->second;
+      t = &idb_.emplace(name, *edb).first->second;
+    } else {
+      std::vector<rel::Attribute> attrs(arity);
+      for (size_t i = 0; i < arity; ++i) {
+        attrs[i] = rel::Attribute{"a" + std::to_string(i), ValueType::Any};
+      }
+      t = &idb_.emplace(name, rel::CTable(rel::Schema(name, attrs)))
+               .first->second;
     }
-    std::vector<rel::Attribute> attrs(arity);
-    for (size_t i = 0; i < arity; ++i) {
-      attrs[i] = rel::Attribute{"a" + std::to_string(i), ValueType::Any};
-    }
-    return idb_.emplace(pred, rel::CTable(rel::Schema(pred, attrs)))
-        .first->second;
+    idbById_[pred] = t;
+    return *t;
   }
 
-  void evalStratum(const dl::Stratification& strat, size_t s) {
-    const auto& ruleIdx = strat.ruleStrata[s];
+  bool inStratum(uint32_t pred) const {
+    return strata_->of[pred] == static_cast<int>(curStratum_);
+  }
+
+  void evalStratum(size_t s) {
+    const auto& ruleIdx = strata_->rules[s];
     if (ruleIdx.empty()) return;
+    curStratum_ = s;
+    const std::vector<uint32_t>& heads = strata_->heads[s];
     obs::Span span;
     obs::Counter* rounds = nullptr;
     if (tracer_ != nullptr) {
@@ -252,51 +277,42 @@ class FaureEvaluator {
       span = obs::Span(tracer_, tag);
       span.note("rules", std::to_string(ruleIdx.size()));
     }
-    std::set<std::string> thisStratum;
-    for (size_t ri : ruleIdx) thisStratum.insert(p_.rules[ri].head.pred);
-    for (size_t ri : ruleIdx) {
-      idbTable(p_.rules[ri].head.pred, p_.rules[ri].head.args.size());
+    for (uint32_t pred : heads) {
+      idbTable(pred);
+      deltaStart_[pred] = 0;
     }
 
-    std::unordered_map<std::string, size_t> deltaStart;
-    for (const auto& pred : thisStratum) deltaStart[pred] = 0;
-
     bool first = true;
+    std::vector<size_t> recursivePositions;
     for (size_t iter = 0; iter < opts_.maxIterations; ++iter) {
       ++stats_.iterations;
       if (rounds != nullptr) rounds->add();
       chargeSteps(1);
-      std::unordered_map<std::string, size_t> fullEnd;
-      for (const auto& pred : thisStratum) {
-        fullEnd[pred] = idb_.at(pred).size();
-      }
+      for (uint32_t pred : heads) fullEnd_[pred] = idbById_[pred]->size();
       bool changed = false;
       for (size_t ri : ruleIdx) {
-        const Rule& rule = p_.rules[ri];
-        std::vector<size_t> recursivePositions;
-        for (size_t i = 0; i < rule.body.size(); ++i) {
-          const dl::Literal& lit = rule.body[i];
-          if (!lit.negated && thisStratum.count(lit.atom.pred) != 0) {
-            recursivePositions.push_back(i);
+        const CompiledRule& rule = p_.rules()[ri];
+        recursivePositions.clear();
+        for (const RuleShape::LitShape& ls : rule.shape.lits) {
+          if (inStratum(rule.bodyPreds[ls.body])) {
+            recursivePositions.push_back(ls.body);
           }
         }
         if (!first && recursivePositions.empty()) continue;
         if (first || !opts_.semiNaive || recursivePositions.empty()) {
-          changed |= evalRule(ri, rule, SIZE_MAX, deltaStart, fullEnd,
-                              thisStratum);
+          changed |= evalRule(ri, rule, SIZE_MAX);
         } else {
           for (size_t pos : recursivePositions) {
-            changed |=
-                evalRule(ri, rule, pos, deltaStart, fullEnd, thisStratum);
+            changed |= evalRule(ri, rule, pos);
           }
         }
       }
-      for (const auto& pred : thisStratum) deltaStart[pred] = fullEnd[pred];
+      for (uint32_t pred : heads) deltaStart_[pred] = fullEnd_[pred];
       first = false;
       if (!changed) {
         bool grew = false;
-        for (const auto& pred : thisStratum) {
-          if (idb_.at(pred).size() != fullEnd[pred]) grew = true;
+        for (uint32_t pred : heads) {
+          if (idbById_[pred]->size() != fullEnd_[pred]) grew = true;
         }
         if (!grew) return;
       }
@@ -304,14 +320,11 @@ class FaureEvaluator {
     throw EvalError("fauré-log fixed point did not converge (cap reached)");
   }
 
-  Range rangeFor(const std::string& pred, size_t deltaPos, size_t thisIndex,
-                 const std::unordered_map<std::string, size_t>& deltaStart,
-                 const std::unordered_map<std::string, size_t>& fullEnd,
-                 const std::set<std::string>& thisStratum,
+  Range rangeFor(uint32_t pred, size_t deltaPos, size_t thisIndex,
                  const rel::CTable& table) const {
-    if (thisStratum.count(pred) == 0) return Range{0, table.size()};
-    size_t end = fullEnd.at(pred);
-    if (deltaPos == thisIndex) return Range{deltaStart.at(pred), end};
+    if (!inStratum(pred)) return Range{0, table.size()};
+    size_t end = fullEnd_[pred];
+    if (deltaPos == thisIndex) return Range{deltaStart_[pred], end};
     return Range{0, end};
   }
 
@@ -348,22 +361,14 @@ class FaureEvaluator {
     std::vector<const rel::JoinIndex*> serialIndex;
     /// Reordered path: persistent index per plan *step* (null = scan).
     std::vector<const rel::JoinIndex*> stepIndex;
-    /// Some positive literal ranges over no rows, so the join derives
-    /// nothing. No plan is chosen and no index is ensured.
-    bool joinsEmpty = false;
   };
 
-  /// The static join shape of rule `ri`, computed once and cached.
-  const RuleShape& ruleShape(size_t ri, const Rule& rule) {
-    if (shapes_.empty()) shapes_.resize(p_.rules.size());
-    if (!shapes_[ri].has_value()) {
-      std::vector<std::string> vars = dl::ruleVariables(rule);
-      std::unordered_map<std::string, size_t> slotOf;
-      for (size_t i = 0; i < vars.size(); ++i) slotOf[vars[i]] = i;
-      shapes_[ri] = RuleShape::analyze(rule, slotOf);
-    }
-    return *shapes_[ri];
-  }
+  /// What planFor() decided for one firing.
+  enum class Planned {
+    None,   // no plan: the pristine path runs (and reports errors)
+    Empty,  // some positive literal ranges over no rows: nothing derives
+    Ready,  // ctx_ holds the plan
+  };
 
   /// Builds (or extends) the persistent index of `table` keyed on
   /// `keyArgs`, with build-vs-extension accounting.
@@ -380,70 +385,68 @@ class FaureEvaluator {
     return &idx;
   }
 
-  /// Resolves the plan for one (rule, delta position) firing, ensuring
-  /// every index it will probe. Returns null when planning is off or
-  /// the rule has nothing to plan (the caller falls back to the
-  /// pristine path, which also owns error reporting for unknown
-  /// relations). A firing with an empty positive range comes back
-  /// marked joinsEmpty and unplanned.
-  std::unique_ptr<PlanContext> planFor(
-      size_t ri, const Rule& rule, size_t deltaPos,
-      const std::unordered_map<std::string, size_t>& deltaStart,
-      const std::unordered_map<std::string, size_t>& fullEnd,
-      const std::set<std::string>& thisStratum) {
-    if (planMode_ == PlanMode::Off) return nullptr;
-    // Walks the positive literals in body order, the order of
-    // RuleShape::lits, so an empty firing returns before the shape is
-    // analyzed.
-    auto ctx = std::make_unique<PlanContext>();
-    std::vector<LitStats> litStats;
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      const dl::Literal& lit = rule.body[i];
-      if (lit.negated) continue;
-      const rel::CTable* table = findRelation(lit.atom.pred);
-      if (table == nullptr) return nullptr;  // pristine path reports it
-      Range range = rangeFor(lit.atom.pred, deltaPos, i, deltaStart, fullEnd,
-                             thisStratum, *table);
-      if (range.lo == range.hi) ctx->joinsEmpty = true;
-      if (i == deltaPos) ctx->deltaLit = ctx->tables.size();
-      litStats.push_back(LitStats{table, range.hi - range.lo});
-      ctx->tables.push_back(table);
+  /// Resolves the plan for one (rule, delta position) firing into ctx_,
+  /// ensuring every index it will probe. None when planning is off or
+  /// the rule has nothing to plan (the caller falls back to the pristine
+  /// path, which also owns error reporting for unknown relations).
+  Planned planFor(size_t ri, const CompiledRule& rule, size_t deltaPos) {
+    if (planMode_ == PlanMode::Off) return Planned::None;
+    const RuleShape& shape = rule.shape;
+    PlanContext& ctx = ctx_;
+    ctx.tables.clear();
+    ctx.deltaLit = SIZE_MAX;
+    litStats_.clear();
+    bool joinsEmpty = false;
+    for (size_t lp = 0; lp < shape.lits.size(); ++lp) {
+      const size_t body = shape.lits[lp].body;
+      const uint32_t pred = rule.bodyPreds[body];
+      const rel::CTable* table = findRelation(pred);
+      if (table == nullptr) return Planned::None;  // pristine path reports
+      Range range = rangeFor(pred, deltaPos, body, *table);
+      if (range.lo == range.hi) joinsEmpty = true;
+      if (body == deltaPos) ctx.deltaLit = lp;
+      litStats_.push_back(LitStats{table, range.hi - range.lo});
+      ctx.tables.push_back(table);
     }
     // Checked only once every positive relation resolved, so an unknown
     // one still reaches the pristine path's error.
-    if (ctx->joinsEmpty) return ctx;
-    const RuleShape& shape = ruleShape(ri, rule);
-    if (shape.lits.empty()) return nullptr;
-    ctx->shape = &shape;
-    ctx->plan = planRule(shape, ctx->deltaLit, litStats);
+    if (joinsEmpty) return Planned::Empty;
+    if (shape.lits.empty()) return Planned::None;
+    ctx.shape = &shape;
+    ctx.plan = planRule(shape, ctx.deltaLit, litStats_);
     ++planStats_.plans;
-    if (ctx->plan.reordered) ++planStats_.reorders;
-    for (const PlannedLiteral& pl : ctx->plan.order) {
+    if (ctx.plan.reordered) ++planStats_.reorders;
+    for (const PlannedLiteral& pl : ctx.plan.order) {
       planStats_.estRows += static_cast<uint64_t>(
           std::llround(std::max(0.0, pl.estRows)));
     }
-    if (ctx->plan.reordered) {
-      ctx->stepIndex.resize(ctx->plan.order.size(), nullptr);
-      for (size_t step = 0; step < ctx->plan.order.size(); ++step) {
-        const PlannedLiteral& pl = ctx->plan.order[step];
+    ctx.serialIndex.clear();
+    ctx.stepIndex.clear();
+    if (ctx.plan.reordered) {
+      ctx.stepIndex.resize(ctx.plan.order.size(), nullptr);
+      for (size_t step = 0; step < ctx.plan.order.size(); ++step) {
+        const PlannedLiteral& pl = ctx.plan.order[step];
         if (pl.keyArgs.empty()) continue;
-        ctx->stepIndex[step] =
-            ensureIndex(*ctx->tables[pl.lit], pl.keyArgs);
+        ctx.stepIndex[step] = ensureIndex(*ctx.tables[pl.lit], pl.keyArgs);
       }
     } else {
-      ctx->serialIndex.resize(shape.lits.size(), nullptr);
+      ctx.serialIndex.resize(shape.lits.size(), nullptr);
       for (size_t lp = 0; lp < shape.lits.size(); ++lp) {
         const auto& keys = shape.lits[lp].serialKeyArgs;
         if (keys.empty()) continue;
-        ctx->serialIndex[lp] = ensureIndex(*ctx->tables[lp], keys);
+        ctx.serialIndex[lp] = ensureIndex(*ctx.tables[lp], keys);
       }
     }
     if (planMode_ == PlanMode::Explain &&
         explained_.insert({ri, deltaPos}).second) {
-      std::cerr << explainPlan(rule, shape, ctx->plan, ctx->deltaLit,
-                               litStats);
+      std::cerr << explainPlan(p_.source().rules[ri], shape, ctx.plan,
+                               ctx.deltaLit, litStats_);
     }
-    return ctx;
+    return Planned::Ready;
+  }
+
+  static const Value& valueOf(const SlotTerm& t, const CFrame& f) {
+    return t.isVar() ? f.vals[t.slot] : t.value;
   }
 
   /// Candidate generation — the pure part of one rule application: join
@@ -451,54 +454,48 @@ class FaureEvaluator {
   /// negations, ground heads. Reads only snapshot-bounded table state
   /// (rangeFor), so every candidate is collected before derive() grows
   /// the head table.
-  std::vector<Candidate> collectCandidates(
-      const Rule& rule, size_t deltaPos,
-      const std::unordered_map<std::string, size_t>& deltaStart,
-      const std::unordered_map<std::string, size_t>& fullEnd,
-      const std::set<std::string>& thisStratum, const PlanContext* pctx) {
-    std::vector<std::string> vars = dl::ruleVariables(rule);
-    std::unordered_map<std::string, size_t> slotOf;
-    for (size_t i = 0; i < vars.size(); ++i) slotOf[vars[i]] = i;
-
-    std::vector<CFrame> frames{CFrame{std::vector<Value>(vars.size()),
-                                      smt::Formula::top()}};
-    std::vector<bool> bound(vars.size(), false);
-
+  std::vector<Candidate> collectCandidates(const CompiledRule& rule,
+                                           size_t deltaPos,
+                                           const PlanContext* pctx) {
+    const RuleShape& shape = rule.shape;
+    std::vector<CFrame> frames;
     if (pctx != nullptr && pctx->plan.reordered) {
-      frames = plannedEnumerate(rule, *pctx, deltaPos, deltaStart, fullEnd,
-                                thisStratum);
+      frames = plannedEnumerate(rule, *pctx, deltaPos);
     } else {
-      size_t litPos = 0;
-      for (size_t i = 0; i < rule.body.size() && !frames.empty(); ++i) {
-        const dl::Literal& lit = rule.body[i];
-        if (lit.negated) continue;
-        const rel::CTable* table = findRelation(lit.atom.pred);
+      frames.push_back(
+          CFrame{std::vector<Value>(shape.slotCount), smt::Formula::top()});
+      for (size_t lp = 0; lp < shape.lits.size() && !frames.empty(); ++lp) {
+        const RuleShape::LitShape& ls = shape.lits[lp];
+        const uint32_t pred = rule.bodyPreds[ls.body];
+        const rel::CTable* table = findRelation(pred);
         if (table == nullptr) {
-          throw EvalError("unknown relation '" + lit.atom.pred + "'");
+          throw EvalError("unknown relation '" + p_.predName(pred) + "'");
         }
         const rel::JoinIndex* pidx =
-            pctx != nullptr && litPos < pctx->serialIndex.size()
-                ? pctx->serialIndex[litPos]
+            pctx != nullptr && lp < pctx->serialIndex.size()
+                ? pctx->serialIndex[lp]
                 : nullptr;
-        ++litPos;
-        Range range = rangeFor(lit.atom.pred, deltaPos, i, deltaStart,
-                               fullEnd, thisStratum, *table);
+        Range range = rangeFor(pred, deltaPos, ls.body, *table);
         if (tracer_ != nullptr && tracer_->options().fineSpans) {
           obs::Span join(tracer_, "join");
-          join.note("pred", lit.atom.pred);
-          joinLiteral(lit.atom, *table, range, slotOf, frames, bound, pidx);
+          join.note("pred", p_.predName(pred));
+          joinLiteral(ls, *table, range, frames, pidx);
         } else {
-          joinLiteral(lit.atom, *table, range, slotOf, frames, bound, pidx);
+          joinLiteral(ls, *table, range, frames, pidx);
         }
       }
     }
     if (pctx != nullptr) planStats_.actualRows += frames.size();
-    // Explicit comparisons become condition atoms.
-    for (const auto& cmp : rule.cmps) {
+    // Explicit comparisons become condition atoms; a ground one is the
+    // same formula for every frame.
+    for (const CompiledComparison& cmp : rule.cmps) {
+      if (frames.empty()) break;
+      std::optional<smt::Formula> ground;
+      if (cmp.ground != SIZE_MAX) ground = p_.groundComparison(cmp);
       std::vector<CFrame> kept;
       for (auto& f : frames) {
-        smt::Formula c = comparisonFormula(cmp, f, slotOf);
-        smt::Formula cond = smt::Formula::conj2(f.cond, c);
+        smt::Formula cond = smt::Formula::conj2(
+            f.cond, ground ? *ground : comparisonFormula(cmp, f.vals));
         if (cond.isFalse()) continue;
         f.cond = std::move(cond);
         kept.push_back(std::move(f));
@@ -506,44 +503,37 @@ class FaureEvaluator {
       frames = std::move(kept);
     }
     // Negated literals.
-    for (const auto& lit : rule.body) {
-      if (!lit.negated) continue;
-      applyNegation(lit.atom, slotOf, frames);
+    for (const CompiledNegation& neg : rule.negations) {
+      applyNegation(neg, frames);
     }
     // Ground heads.
     std::vector<Candidate> cands;
     cands.reserve(frames.size());
     for (auto& f : frames) {
       Candidate c;
-      c.vals.reserve(rule.head.args.size());
-      for (const auto& t : rule.head.args) {
-        c.vals.push_back(groundTerm(t, f, slotOf));
-      }
+      c.vals.reserve(rule.headArgs.size());
+      for (const SlotTerm& t : rule.headArgs) c.vals.push_back(valueOf(t, f));
       c.cond = std::move(f.cond);
       cands.push_back(std::move(c));
     }
     return cands;
   }
 
-  bool evalRule(size_t ri, const Rule& rule, size_t deltaPos,
-                const std::unordered_map<std::string, size_t>& deltaStart,
-                const std::unordered_map<std::string, size_t>& fullEnd,
-                const std::set<std::string>& thisStratum) {
+  bool evalRule(size_t ri, const CompiledRule& rule, size_t deltaPos) {
     obs::Span span;
     if (tracer_ != nullptr) {
       curRule_ = &ruleMetrics(ri);
       span = obs::Span(tracer_, ruleTag(ri));
     }
-    std::unique_ptr<PlanContext> pctx =
-        planFor(ri, rule, deltaPos, deltaStart, fullEnd, thisStratum);
-    if (pctx != nullptr && pctx->joinsEmpty) {
+    Planned planned = planFor(ri, rule, deltaPos);
+    if (planned == Planned::Empty) {
       curRule_ = nullptr;
       return false;
     }
     std::vector<Candidate> cands = collectCandidates(
-        rule, deltaPos, deltaStart, fullEnd, thisStratum, pctx.get());
+        rule, deltaPos, planned == Planned::Ready ? &ctx_ : nullptr);
     bool changed = false;
-    rel::CTable& out = idbTable(rule.head.pred, rule.head.args.size());
+    rel::CTable& out = *idbById_[rule.head];
     for (auto& c : cands) {
       changed |= derive(out, std::move(c.vals), std::move(c.cond));
     }
@@ -607,20 +597,6 @@ class FaureEvaluator {
     return appended;
   }
 
-  static Value groundTerm(const Term& t, const CFrame& f,
-                          const std::unordered_map<std::string, size_t>&
-                              slotOf) {
-    switch (t.kind) {
-      case Term::Kind::Const:
-        return t.constant;
-      case Term::Kind::CVar:
-        return Value::cvar(t.cvar);
-      case Term::Kind::Var:
-        return f.vals[slotOf.at(t.var)];
-    }
-    return t.constant;
-  }
-
   // The c-domain match of two values: the condition under which they are
   // equal (True for equal constants, False for distinct constants, an
   // equality atom when a c-variable is involved).
@@ -628,56 +604,22 @@ class FaureEvaluator {
     return smt::Formula::cmp(a, smt::CmpOp::Eq, b);
   }
 
-  /// `pidx` (planned, unreordered path) is the persistent index over
-  /// this literal's key columns: probing it enumerates exactly the rows
-  /// the local per-firing index would — same buckets, same ascending
-  /// order, filtered to `range` — without the O(range) rebuild. Null
-  /// keeps the pristine local-index path.
-  void joinLiteral(const dl::Atom& atom, const rel::CTable& table,
-                   Range range,
-                   const std::unordered_map<std::string, size_t>& slotOf,
-                   std::vector<CFrame>& frames, std::vector<bool>& bound,
+  /// Joins the frames with one positive literal, whose argument kinds
+  /// and key columns the rule's shape fixed at compile time. `pidx`
+  /// (planned, unreordered path) is the persistent index over the
+  /// literal's key columns: probing it enumerates exactly the rows the
+  /// local per-firing index would — same buckets, same ascending order,
+  /// filtered to `range` — without the O(range) rebuild. Null keeps the
+  /// pristine local-index path.
+  void joinLiteral(const RuleShape::LitShape& ls, const rel::CTable& table,
+                   Range range, std::vector<CFrame>& frames,
                    const rel::JoinIndex* pidx = nullptr) {
-    struct Pos {
-      size_t arg;
-      enum Kind { Fixed, BoundVar, FreeVar } kind;
-      size_t slot = 0;   // vars
-      Value value;       // Fixed: constant or c-variable from the rule
-    };
-    std::vector<Pos> positions;
-    positions.reserve(atom.args.size());
-    std::vector<bool> nowBound = bound;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const Term& t = atom.args[i];
-      Pos pos;
-      pos.arg = i;
-      if (t.isVar()) {
-        pos.slot = slotOf.at(t.var);
-        if (nowBound[pos.slot]) {
-          pos.kind = Pos::BoundVar;
-        } else {
-          pos.kind = Pos::FreeVar;
-          nowBound[pos.slot] = true;
-        }
-      } else {
-        pos.kind = Pos::Fixed;
-        pos.value = t.asValue();
-      }
-      positions.push_back(std::move(pos));
-    }
-
+    using Kind = RuleShape::Arg::Kind;
     // Key positions: Fixed constants and variables bound BEFORE this
     // literal. A Fixed position holding a rule c-variable matches any row
     // value, and a variable first bound within this atom has no frame
     // value yet — neither can key the index.
-    std::vector<size_t> keyArgs;
-    for (const auto& pos : positions) {
-      if ((pos.kind == Pos::Fixed && pos.value.isConstant()) ||
-          (pos.kind == Pos::BoundVar && bound[pos.slot])) {
-        keyArgs.push_back(pos.arg);
-      }
-    }
-
+    const std::vector<size_t>& keyArgs = ls.serialKeyArgs;
     const auto& rows = table.rows();
     std::vector<CFrame> out;
 
@@ -686,18 +628,19 @@ class FaureEvaluator {
       smt::Formula cond = smt::Formula::conj2(f.cond, row.cond);
       if (cond.isFalse()) return;
       CFrame nf{f.vals, smt::Formula()};
-      for (const auto& pos : positions) {
-        const Value& v = row.vals[pos.arg];
+      for (size_t a = 0; a < ls.args.size(); ++a) {
+        const RuleShape::Arg& arg = ls.args[a];
+        const Value& v = row.vals[a];
         Value lhs;
-        switch (pos.kind) {
-          case Pos::Fixed:
-            lhs = pos.value;
+        switch (arg.kind) {
+          case Kind::Fixed:
+            lhs = arg.value;
             break;
-          case Pos::BoundVar:
-            lhs = nf.vals[pos.slot];
+          case Kind::BoundVar:
+            lhs = nf.vals[arg.slot];
             break;
-          case Pos::FreeVar:
-            nf.vals[pos.slot] = v;
+          case Kind::FreeVar:
+            nf.vals[arg.slot] = v;
             continue;
         }
         smt::Formula eq = matchValues(lhs, v);
@@ -743,9 +686,9 @@ class FaureEvaluator {
         bool probeWild = false;
         size_t h = rel::JoinIndex::hashInit();
         for (size_t a : keyArgs) {
-          const Pos& pos = positions[a];
+          const RuleShape::Arg& arg = ls.args[a];
           const Value& v =
-              pos.kind == Pos::Fixed ? pos.value : f.vals[pos.slot];
+              arg.kind == Kind::Fixed ? arg.value : f.vals[arg.slot];
           if (v.isCVar()) {
             probeWild = true;
             break;
@@ -770,7 +713,6 @@ class FaureEvaluator {
       }
     }
     frames = std::move(out);
-    bound = nowBound;
   }
 
   /// Reordered-plan enumeration. Three phases, together byte-identical
@@ -802,11 +744,9 @@ class FaureEvaluator {
   /// tracks the *physical* work, so budget trip points may differ from
   /// plan=off (results never do; the determinism matrix runs
   /// unbudgeted).
-  std::vector<CFrame> plannedEnumerate(
-      const Rule& rule, const PlanContext& ctx, size_t deltaPos,
-      const std::unordered_map<std::string, size_t>& deltaStart,
-      const std::unordered_map<std::string, size_t>& fullEnd,
-      const std::set<std::string>& thisStratum) {
+  std::vector<CFrame> plannedEnumerate(const CompiledRule& rule,
+                                       const PlanContext& ctx,
+                                       size_t deltaPos) {
     const RuleShape& shape = *ctx.shape;
     size_t nLits = shape.lits.size();
 
@@ -826,9 +766,8 @@ class FaureEvaluator {
       const RuleShape::LitShape& ls = shape.lits[pl.lit];
       const rel::CTable& table = *ctx.tables[pl.lit];
       const auto& rows = table.rows();
-      const dl::Literal& lit = rule.body[ls.body];
-      Range range = rangeFor(lit.atom.pred, deltaPos, ls.body, deltaStart,
-                             fullEnd, thisStratum, table);
+      Range range =
+          rangeFor(rule.bodyPreds[ls.body], deltaPos, ls.body, table);
       const rel::JoinIndex* idx = ctx.stepIndex[step];
 
       std::vector<Combo> next;
@@ -963,52 +902,25 @@ class FaureEvaluator {
     return frames;
   }
 
-  smt::Formula comparisonFormula(
-      const dl::Comparison& cmp, const CFrame& f,
-      const std::unordered_map<std::string, size_t>& slotOf) {
-    auto single = [&](const dl::LinExpr& e) -> std::optional<Value> {
-      if (e.isSingleTerm()) return groundTerm(e.terms[0].first, f, slotOf);
-      return std::nullopt;
-    };
-    std::optional<Value> lv = single(cmp.lhs);
-    std::optional<Value> rv = single(cmp.rhs);
-    if (lv && rv) return smt::Formula::cmp(*lv, cmp.op, *rv);
-    // Arithmetic comparison: lhs - rhs  op  0 over integer values and
-    // integer-typed c-variables.
-    smt::LinTerm diff;
-    auto accumulate = [&](const dl::LinExpr& e, int64_t sign) {
-      diff.cst += sign * e.cst;
-      std::vector<std::pair<CVarId, int64_t>> entries = diff.coefs;
-      for (const auto& [t, c] : e.terms) {
-        Value v = groundTerm(t, f, slotOf);
-        if (v.isCVar()) {
-          entries.emplace_back(v.asCVar(), sign * c);
-        } else if (v.kind() == Value::Kind::Int) {
-          diff.cst += sign * c * v.asInt();
-        } else {
-          throw TypeError("arithmetic on non-integer value " + v.toString());
-        }
-      }
-      diff = smt::LinTerm::make(std::move(entries), diff.cst);
-    };
-    accumulate(cmp.lhs, 1);
-    accumulate(cmp.rhs, -1);
-    return smt::Formula::lin(std::move(diff), cmp.op);
+  /// The negated literal's arguments under frame `f`.
+  static std::vector<Value> groundArgs(const CompiledNegation& neg,
+                                       const CFrame& f) {
+    std::vector<Value> probe;
+    probe.reserve(neg.args.size());
+    for (const SlotTerm& t : neg.args) probe.push_back(valueOf(t, f));
+    return probe;
   }
 
-  void applyNegation(const dl::Atom& atom,
-                     const std::unordered_map<std::string, size_t>& slotOf,
+  void applyNegation(const CompiledNegation& neg,
                      std::vector<CFrame>& frames) {
     if (opts_.openWorldNegation != nullptr) {
-      applyOpenWorldNegation(atom, slotOf, frames);
+      applyOpenWorldNegation(neg, frames);
       return;
     }
-    const rel::CTable* table = findRelation(atom.pred);
+    const rel::CTable* table = findRelation(neg.pred);
     std::vector<CFrame> kept;
     for (auto& f : frames) {
-      std::vector<Value> probe;
-      probe.reserve(atom.args.size());
-      for (const auto& t : atom.args) probe.push_back(groundTerm(t, f, slotOf));
+      std::vector<Value> probe = groundArgs(neg, f);
       smt::Formula cond = f.cond;
       if (table != nullptr) {
         for (const auto& row : table->rows()) {
@@ -1029,23 +941,18 @@ class FaureEvaluator {
 
   // Open-world negation (containment reduction, §5): ¬B(u) holds exactly
   // when u coincides with a listed negative fact of B.
-  void applyOpenWorldNegation(
-      const dl::Atom& atom,
-      const std::unordered_map<std::string, size_t>& slotOf,
-      std::vector<CFrame>& frames) {
-    const auto& facts = opts_.openWorldNegation->facts;
-    auto it = facts.find(atom.pred);
+  void applyOpenWorldNegation(const CompiledNegation& neg,
+                              std::vector<CFrame>& frames) {
+    const std::vector<std::vector<Value>>* facts = negFacts_[neg.pred];
     std::vector<CFrame> kept;
     for (auto& f : frames) {
-      if (it == facts.end()) continue;  // nothing known absent: frame dies
-      std::vector<Value> probe;
-      probe.reserve(atom.args.size());
-      for (const auto& t : atom.args) probe.push_back(groundTerm(t, f, slotOf));
+      if (facts == nullptr) continue;  // nothing known absent: frame dies
+      std::vector<Value> probe = groundArgs(neg, f);
       std::vector<smt::Formula> matches;
-      for (const auto& fact : it->second) {
+      for (const auto& fact : *facts) {
         if (fact.size() != probe.size()) {
-          throw EvalError("negative fact arity mismatch for '" + atom.pred +
-                          "'");
+          throw EvalError("negative fact arity mismatch for '" +
+                          p_.predName(neg.pred) + "'");
         }
         smt::Formula eq = rel::tupleEquality(probe, fact);
         if (!eq.isFalse()) matches.push_back(std::move(eq));
@@ -1072,16 +979,17 @@ class FaureEvaluator {
 
   /// Stable display tag for rule `ri`, e.g. "rule[2:Reach]".
   const std::string& ruleTag(size_t ri) {
-    if (ruleTags_.empty()) ruleTags_.resize(p_.rules.size());
+    if (ruleTags_.empty()) ruleTags_.resize(p_.rules().size());
     std::string& tag = ruleTags_[ri];
     if (tag.empty()) {
-      tag = "rule[" + std::to_string(ri) + ":" + p_.rules[ri].head.pred + "]";
+      tag = "rule[" + std::to_string(ri) + ":" +
+            p_.predName(p_.rules()[ri].head) + "]";
     }
     return tag;
   }
 
   RuleMetrics& ruleMetrics(size_t ri) {
-    if (ruleMetrics_.empty()) ruleMetrics_.resize(p_.rules.size());
+    if (ruleMetrics_.empty()) ruleMetrics_.resize(p_.rules().size());
     RuleMetrics& m = ruleMetrics_[ri];
     if (m.derivations == nullptr) {
       obs::Registry& reg = tracer_->metrics();
@@ -1139,7 +1047,7 @@ class FaureEvaluator {
     }
   }
 
-  const Program& p_;
+  const CompiledProgram& p_;
   const rel::Database& db_;
   smt::SolverBase* solver_;
   EvalOptions opts_;
@@ -1148,6 +1056,16 @@ class FaureEvaluator {
   obs::Tracer* tracer_;
   EvalStats stats_;
   std::map<std::string, rel::CTable> idb_;
+  // Per predicate id, resolved once per evaluation: the EDB relation,
+  // the IDB table (into idb_) once created, open-world negative facts,
+  // and the current stratum's semi-naive delta bounds.
+  std::vector<const rel::CTable*> edb_;
+  std::vector<rel::CTable*> idbById_;
+  std::vector<const std::vector<std::vector<Value>>*> negFacts_;
+  std::vector<size_t> deltaStart_;
+  std::vector<size_t> fullEnd_;
+  const Strata* strata_ = nullptr;
+  size_t curStratum_ = 0;
   std::vector<std::string> ruleTags_;
   std::vector<RuleMetrics> ruleMetrics_;
   RuleMetrics* curRule_ = nullptr;  // set around derive() by evalRule
@@ -1162,11 +1080,12 @@ class FaureEvaluator {
   smt::VerdictCache* cache_ = nullptr;
   smt::VerdictCache::Stats cacheBefore_;
 
-  // Cost-based planning (plan.hpp, DESIGN.md §11). Shapes are static
-  // per rule; explained_ limits EXPLAIN output to one dump per (rule,
-  // delta position) per evaluation.
+  // Cost-based planning (plan.hpp, DESIGN.md §11). ctx_ and litStats_
+  // are reused by every firing; explained_ limits EXPLAIN output to one
+  // dump per (rule, delta position) per evaluation.
   PlanMode planMode_ = PlanMode::Off;
-  std::vector<std::optional<RuleShape>> shapes_;
+  PlanContext ctx_;
+  std::vector<LitStats> litStats_;
   std::set<std::pair<size_t, size_t>> explained_;
   struct PlanCounters {
     uint64_t plans = 0;
@@ -1194,9 +1113,14 @@ size_t resolveThreads(const EvalOptions& opts) {
   return static_cast<size_t>(t);
 }
 
-EvalResult evalFaure(const dl::Program& p, const rel::Database& db,
+EvalResult evalFaure(const CompiledProgram& p, const rel::Database& db,
                      smt::SolverBase* solver, const EvalOptions& opts) {
   return FaureEvaluator(p, db, solver, opts).run();
+}
+
+EvalResult evalFaure(const dl::Program& p, const rel::Database& db,
+                     smt::SolverBase* solver, const EvalOptions& opts) {
+  return evalFaure(CompiledProgram::compile(p, &db), db, solver, opts);
 }
 
 EvalResult evalFaure(const dl::Program& p, const rel::Database& db) {
@@ -1204,7 +1128,7 @@ EvalResult evalFaure(const dl::Program& p, const rel::Database& db) {
   return evalFaure(p, db, &solver, EvalOptions{});
 }
 
-EvalResult evalFaurePlanned(const dl::Program& p, const rel::Database& db,
+EvalResult evalFaurePlanned(const CompiledProgram& p, const rel::Database& db,
                             smt::SolverBase* solver, const EvalOptions& opts,
                             StrataPlan plan) {
   return FaureEvaluator(p, db, solver, opts, &plan).run();

@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "datalog/analysis.hpp"
 #include "datalog/ast.hpp"
+#include "faurelog/compiled.hpp"
 #include "faurelog/plan.hpp"
 #include "obs/trace.hpp"
 #include "relational/database.hpp"
@@ -147,27 +147,32 @@ struct EvalResult {
   bool derived(const std::string& goal, smt::Formula* cond = nullptr) const;
 };
 
-/// Evaluates a fauré-log program against `db`. `solver` decides condition
-/// satisfiability (pass a NativeSolver over db.cvars(), or a Z3 backend);
-/// it may be null only when both pruneWithSolver and mergeSubsumption are
-/// disabled.
+/// Evaluates a compiled fauré-log program against `db`. `solver` decides
+/// condition satisfiability (pass a NativeSolver over db.cvars(), or a
+/// Z3 backend); it may be null only when both pruneWithSolver and
+/// mergeSubsumption are disabled. Callers that evaluate one program many
+/// times compile it once (compiled.hpp) and pass it here.
+EvalResult evalFaure(const CompiledProgram& p, const rel::Database& db,
+                     smt::SolverBase* solver, const EvalOptions& opts = {});
+
+/// Compiles `p` against `db`'s schema, then evaluates it.
 EvalResult evalFaure(const dl::Program& p, const rel::Database& db,
                      smt::SolverBase* solver, const EvalOptions& opts = {});
 
 /// Selective re-evaluation plan for the incremental engine
-/// (incremental.hpp): an explicit evaluation partition, which of its
-/// strata to execute, and the derived tables — retained verbatim from a
-/// previous epoch — standing in for the skipped ones.
+/// (incremental.hpp): an evaluation partition, which of its strata to
+/// execute, and the derived tables — retained verbatim from a previous
+/// epoch — standing in for the skipped ones.
 ///
-/// The plan carries its own Stratification because dl::stratify only
-/// separates strata across negation: independent positive rule families
-/// all share stratum 0, far too coarse to skip selectively. The
-/// incremental engine refines the partition to the topologically-
-/// ordered SCC condensation of the predicate dependency graph; the
-/// evaluator runs whatever partition the plan names (any rule grouping
-/// is sound as long as each predicate's rules sit in one group and
-/// groups are in dependency order — negation included, which refinement
-/// of a valid stratification preserves).
+/// The plan may name its own partition because the compiled program's
+/// stratification only separates strata across negation: independent
+/// positive rule families all share stratum 0, far too coarse to skip
+/// selectively. The incremental engine refines the partition to the
+/// topologically-ordered SCC condensation of the predicate dependency
+/// graph; the evaluator runs whatever partition the plan names (any rule
+/// grouping is sound as long as each predicate's rules sit in one group
+/// and groups are in dependency order — negation included, which
+/// refinement of a valid stratification preserves).
 ///
 /// The contract that makes table reuse byte-identical to a full
 /// recompute is the caller's: `retained` must hold exactly the head
@@ -177,9 +182,9 @@ EvalResult evalFaure(const dl::Program& p, const rel::Database& db,
 /// the previous epoch satisfy this whenever no predicate feeding their
 /// strata changed.
 struct StrataPlan {
-  /// The evaluation partition (ruleStrata is what the evaluator runs).
-  dl::Stratification strata;
-  /// One flag per entry of strata.ruleStrata — false means "skip, the
+  /// The evaluation partition; null runs the program's own strata.
+  const Strata* strata = nullptr;
+  /// One flag per stratum of the partition — false means "skip, the
   /// retained tables already cover this stratum's heads". Size checked
   /// at run time.
   std::vector<char> runStratum;
@@ -190,7 +195,7 @@ struct StrataPlan {
 /// evalFaure, but only over the strata selected by `plan`; the plan's
 /// retained tables are seeded into the result untouched. With an
 /// all-true plan this is exactly evalFaure.
-EvalResult evalFaurePlanned(const dl::Program& p, const rel::Database& db,
+EvalResult evalFaurePlanned(const CompiledProgram& p, const rel::Database& db,
                             smt::SolverBase* solver, const EvalOptions& opts,
                             StrataPlan plan);
 

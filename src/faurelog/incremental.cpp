@@ -1,7 +1,7 @@
 #include "faurelog/incremental.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <deque>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -15,118 +15,152 @@ bool incrementalFromEnv() {
   return env == nullptr || std::string_view(env) != "0";
 }
 
-/// Refines dl::stratify's negation strata into the topologically-
-/// ordered SCC condensation of the predicate dependency graph.
+/// Refines the compiled negation strata into the topologically-ordered
+/// SCC condensation of the predicate dependency graph.
 ///
-/// dl::stratify bumps a stratum only across negation, so independent
+/// Stratification bumps a stratum only across negation, so independent
 /// positive rule families (two teams' rules over disjoint relations)
 /// all share stratum 0 — at that granularity nothing can be skipped.
 /// Here every set of mutually recursive predicates becomes its own
 /// evaluation unit; units are emitted in a deterministic dependency
-/// order (Kahn's algorithm, ties broken by negation stratum then by
-/// lowest rule index), so refinement preserves both the negation
-/// semantics (a negated body is always in an earlier unit) and
-/// reproducibility (the same program always yields the same partition).
-dl::Stratification refineStrata(const dl::Program& p,
-                                const dl::Stratification& base) {
+/// order (Kahn's algorithm, the ready unit with the lowest negation
+/// stratum, then the lowest rule index, first), so refinement preserves
+/// both the negation semantics (a negated body is always in an earlier
+/// unit) and reproducibility (the same program always yields the same
+/// partition).
+Strata refineStrata(const CompiledProgram& p) {
+  const Strata& base = p.strata();
+  const size_t n = p.predicateCount();
+  const auto& rules = p.rules();
   // Predicate dependency edges over the IDB: body -> head.
-  std::map<std::string, std::set<std::string>> succ;
-  std::set<std::string> idb;
-  for (const auto& r : p.rules) idb.insert(r.head.pred);
-  for (const auto& r : p.rules) {
-    for (const auto& lit : r.body) {
-      if (idb.count(lit.atom.pred) != 0 && lit.atom.pred != r.head.pred) {
-        succ[lit.atom.pred].insert(r.head.pred);
-      }
+  std::vector<std::vector<uint32_t>> succ(n);
+  for (const CompiledRule& r : rules) {
+    for (uint32_t pred : r.bodyPreds) {
+      if (p.defined(pred) && pred != r.head) succ[pred].push_back(r.head);
     }
   }
-  // Mutual reachability (programs are small; clarity over asymptotics).
-  std::map<std::string, std::set<std::string>> reach;
-  for (const auto& pred : idb) {
-    std::set<std::string>& r = reach[pred];
-    std::vector<std::string> work{pred};
+  // Reachability (programs are small; clarity over asymptotics).
+  std::vector<std::vector<char>> reach(n);
+  for (uint32_t pred = 0; pred < n; ++pred) {
+    if (!p.defined(pred)) continue;
+    std::vector<char>& r = reach[pred];
+    r.assign(n, 0);
+    std::vector<uint32_t> work{pred};
     while (!work.empty()) {
-      std::string cur = std::move(work.back());
+      uint32_t cur = work.back();
       work.pop_back();
-      auto it = succ.find(cur);
-      if (it == succ.end()) continue;
-      for (const auto& next : it->second) {
-        if (r.insert(next).second) work.push_back(next);
+      for (uint32_t next : succ[cur]) {
+        if (r[next] == 0) {
+          r[next] = 1;
+          work.push_back(next);
+        }
       }
     }
   }
-  // Components: preds that reach each other, represented by their
-  // lexicographically-smallest member (deterministic).
-  std::map<std::string, std::string> compOf;
-  for (const auto& a : idb) {
-    if (compOf.count(a) != 0) continue;
-    compOf[a] = a;
-    for (const auto& b : reach[a]) {
-      if (reach[b].count(a) != 0) compOf[b] = a;
+  // Components: predicates that reach each other.
+  std::vector<int> comp(n, -1);
+  int comps = 0;
+  for (uint32_t a = 0; a < n; ++a) {
+    if (!p.defined(a) || comp[a] >= 0) continue;
+    comp[a] = comps;
+    for (uint32_t b = 0; b < n; ++b) {
+      if (reach[a].empty() || reach[a][b] == 0 || reach[b].empty()) continue;
+      if (reach[b][a] != 0) comp[b] = comps;
     }
+    ++comps;
   }
   // Component metadata + DAG.
   struct Comp {
     int negStratum = 0;
     size_t minRule = SIZE_MAX;
-    std::set<std::string> deps;  // component reps this one waits on
+    std::vector<char> deps;  // components this one waits on
   };
-  std::map<std::string, Comp> comps;
-  for (size_t ri = 0; ri < p.rules.size(); ++ri) {
-    const auto& rule = p.rules[ri];
-    Comp& c = comps[compOf.at(rule.head.pred)];
+  std::vector<Comp> info(static_cast<size_t>(comps));
+  for (Comp& c : info) c.deps.assign(static_cast<size_t>(comps), 0);
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    const CompiledRule& rule = rules[ri];
+    const int own = comp[rule.head];
+    Comp& c = info[static_cast<size_t>(own)];
     c.minRule = std::min(c.minRule, ri);
-    auto it = base.stratumOf.find(rule.head.pred);
-    if (it != base.stratumOf.end()) c.negStratum = it->second;
-    for (const auto& lit : rule.body) {
-      if (idb.count(lit.atom.pred) == 0) continue;
-      const std::string& dep = compOf.at(lit.atom.pred);
-      if (dep != compOf.at(rule.head.pred)) c.deps.insert(dep);
+    c.negStratum = base.of[rule.head];
+    for (uint32_t pred : rule.bodyPreds) {
+      if (p.defined(pred) && comp[pred] != own) {
+        c.deps[static_cast<size_t>(comp[pred])] = 1;
+      }
     }
   }
   // Kahn's algorithm with a deterministic priority.
-  dl::Stratification out;
-  std::set<std::string> emitted;
-  while (emitted.size() < comps.size()) {
-    const std::string* best = nullptr;
-    for (const auto& [rep, c] : comps) {
-      if (emitted.count(rep) != 0) continue;
+  Strata out;
+  out.of.assign(n, -1);
+  std::vector<char> emitted(static_cast<size_t>(comps), 0);
+  for (int unit = 0; unit < comps; ++unit) {
+    int best = -1;
+    for (int c = 0; c < comps; ++c) {
+      if (emitted[static_cast<size_t>(c)] != 0) continue;
       bool ready = true;
-      for (const auto& dep : c.deps) {
-        if (emitted.count(dep) == 0) {
+      for (int d = 0; d < comps && ready; ++d) {
+        if (info[static_cast<size_t>(c)].deps[static_cast<size_t>(d)] != 0 &&
+            emitted[static_cast<size_t>(d)] == 0) {
           ready = false;
-          break;
         }
       }
       if (!ready) continue;
-      if (best == nullptr ||
-          std::make_pair(c.negStratum, c.minRule) <
-              std::make_pair(comps.at(*best).negStratum,
-                             comps.at(*best).minRule)) {
-        best = &rep;
+      const Comp& ci = info[static_cast<size_t>(c)];
+      if (best < 0 ||
+          std::make_pair(ci.negStratum, ci.minRule) <
+              std::make_pair(info[static_cast<size_t>(best)].negStratum,
+                             info[static_cast<size_t>(best)].minRule)) {
+        best = c;
       }
     }
-    // base is a valid stratification, so the condensation is acyclic
-    // and something is always ready.
-    std::vector<size_t> rules;
-    for (size_t ri = 0; ri < p.rules.size(); ++ri) {
-      if (compOf.at(p.rules[ri].head.pred) == *best) rules.push_back(ri);
+    // The base is a valid stratification, so the condensation is
+    // acyclic and something is always ready.
+    std::vector<size_t> unitRules;
+    std::vector<uint32_t> heads;
+    for (size_t ri = 0; ri < rules.size(); ++ri) {
+      const uint32_t head = rules[ri].head;
+      if (comp[head] != best) continue;
+      unitRules.push_back(ri);
+      if (std::find(heads.begin(), heads.end(), head) == heads.end()) {
+        heads.push_back(head);
+      }
     }
-    int unit = static_cast<int>(out.ruleStrata.size());
-    for (const auto& [pred, rep] : compOf) {
-      if (rep == *best) out.stratumOf[pred] = unit;
+    for (uint32_t pred = 0; pred < n; ++pred) {
+      if (comp[pred] == best) out.of[pred] = unit;
     }
-    out.ruleStrata.push_back(std::move(rules));
-    emitted.insert(*best);
+    out.rules.push_back(std::move(unitRules));
+    out.heads.push_back(std::move(heads));
+    emitted[static_cast<size_t>(best)] = 1;
   }
   return out;
 }
 
 }  // namespace
 
+IncrementalProgram::IncrementalProgram(dl::Program program,
+                                       const rel::Database& schema)
+    : compiled(CompiledProgram::compile(std::move(program), &schema)),
+      units(refineStrata(compiled)),
+      readers(compiled.predicateCount()) {
+  const auto& rules = compiled.rules();
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    for (uint32_t pred : rules[ri].bodyPreds) {
+      std::vector<size_t>& r = readers[pred];
+      if (r.empty() || r.back() != ri) r.push_back(ri);
+    }
+  }
+}
+
 IncrementalEngine::IncrementalEngine(dl::Program program, rel::Database& db,
                                      smt::SolverBase* solver, EvalOptions opts)
-    : p_(std::move(program)),
+    : IncrementalEngine(
+          std::make_shared<const IncrementalProgram>(std::move(program), db),
+          db, solver, std::move(opts)) {}
+
+IncrementalEngine::IncrementalEngine(
+    std::shared_ptr<const IncrementalProgram> program, rel::Database& db,
+    smt::SolverBase* solver, EvalOptions opts)
+    : program_(std::move(program)),
       db_(db),
       solver_(solver),
       opts_(opts),
@@ -135,25 +169,6 @@ IncrementalEngine::IncrementalEngine(dl::Program program, rel::Database& db,
     throw EvalError(
         "IncrementalEngine: simplifyResults rewrites conditions globally; "
         "per-stratum reuse cannot honour the byte-identity oracle under it");
-  }
-  // Partition once up front — the units are a property of the program,
-  // not of the data, and the plan must name the same units every epoch
-  // evaluates. dl::stratify both validates stratifiability and feeds
-  // the negation strata the refinement preserves. (Safety/arity checks
-  // stay with evalFaure, which sees the live database.)
-  strat_ = refineStrata(p_, dl::stratify(p_));
-  stratumHeads_.resize(strat_.ruleStrata.size());
-  for (size_t s = 0; s < strat_.ruleStrata.size(); ++s) {
-    for (size_t ri : strat_.ruleStrata[s]) {
-      stratumHeads_[s].insert(p_.rules[ri].head.pred);
-    }
-  }
-  // Per-rule delta index: which rules re-fire when pred changes.
-  for (size_t ri = 0; ri < p_.rules.size(); ++ri) {
-    for (const auto& lit : p_.rules[ri].body) {
-      auto& rules = state_.bodyIndex[lit.atom.pred];
-      if (rules.empty() || rules.back() != ri) rules.push_back(ri);
-    }
   }
 }
 
@@ -191,42 +206,33 @@ void IncrementalEngine::apply(const Edit& edit) {
 void IncrementalEngine::invalidate() { state_.valid = false; }
 
 void IncrementalEngine::adoptState(const IncrementalState& state) {
-  state_.idb = state.idb;
-  state_.provenance = state.provenance;
-  state_.valid = state.valid;
-  // state_.bodyIndex stays as the constructor derived it: it is a
-  // property of the program, which adopt requires to be shared.
-}
-
-std::vector<char> IncrementalEngine::planStrata(
-    const std::set<std::string>& affected) const {
-  std::vector<char> run(strat_.ruleStrata.size(), 0);
-  for (size_t s = 0; s < stratumHeads_.size(); ++s) {
-    for (const auto& head : stratumHeads_[s]) {
-      if (affected.count(head) != 0) {
-        run[s] = 1;
-        break;
-      }
-    }
-  }
-  return run;
+  state_ = state;
 }
 
 EvalResult IncrementalEngine::reevaluate() {
-  // Affected-predicate closure over the delta indexes: start from the
+  const CompiledProgram& cp = program_->compiled;
+  const Strata& units = program_->units;
+  // Affected-predicate closure over the delta index: start from the
   // edited base relations, add the head of every rule whose body
   // touches an affected predicate, iterate to fixpoint. (The closure
   // runs on predicates, so it terminates in |preds| rounds.)
-  std::set<std::string> affected = dirty_;
-  std::deque<std::string> work(dirty_.begin(), dirty_.end());
+  std::vector<char> affected(cp.predicateCount(), 0);
+  std::vector<uint32_t> work;
+  for (const std::string& name : dirty_) {
+    uint32_t pred = cp.predId(name);
+    if (pred == CompiledProgram::kNoPred) continue;  // read by no rule
+    affected[pred] = 1;
+    work.push_back(pred);
+  }
   while (!work.empty()) {
-    std::string pred = std::move(work.front());
-    work.pop_front();
-    auto it = state_.bodyIndex.find(pred);
-    if (it == state_.bodyIndex.end()) continue;
-    for (size_t ri : it->second) {
-      const std::string& head = p_.rules[ri].head.pred;
-      if (affected.insert(head).second) work.push_back(head);
+    uint32_t pred = work.back();
+    work.pop_back();
+    for (size_t ri : program_->readers[pred]) {
+      uint32_t head = cp.rules()[ri].head;
+      if (affected[head] == 0) {
+        affected[head] = 1;
+        work.push_back(head);
+      }
     }
   }
 
@@ -234,42 +240,45 @@ EvalResult IncrementalEngine::reevaluate() {
   std::vector<char> run;
   StrataPlan plan;
   if (!full) {
-    run = planStrata(affected);
+    run.assign(units.rules.size(), 0);
+    for (size_t s = 0; s < run.size(); ++s) {
+      for (uint32_t head : units.heads[s]) run[s] |= affected[head];
+    }
     for (size_t s = 0; s < run.size() && !full; ++s) {
       if (run[s]) continue;
-      for (const auto& head : stratumHeads_[s]) {
-        auto it = state_.idb.find(head);
+      for (uint32_t head : units.heads[s]) {
+        auto it = state_.idb.find(cp.predName(head));
         if (it == state_.idb.end()) {
           // The retained epoch never materialised this head — do not
           // guess; fall back to a full run.
           full = true;
           break;
         }
-        plan.retained.emplace(head, it->second);
+        plan.retained.emplace(it->first, it->second);
       }
     }
   }
   if (full) {
     plan.retained.clear();
-    run.assign(strat_.ruleStrata.size(), 1);
+    run.assign(units.rules.size(), 1);
   }
   // Both modes evaluate the SAME refined partition — only the run/skip
   // flags differ — so the oracle comparison is apples to apples at the
   // byte level.
-  plan.strata = strat_;
+  plan.strata = &units;
   plan.runStratum = run;
 
   EvalResult result =
-      evalFaurePlanned(p_, db_, solver_, opts_, std::move(plan));
+      evalFaurePlanned(cp, db_, solver_, opts_, std::move(plan));
 
   uint64_t refired = 0, skipped = 0, dirtyStrata = 0, reused = 0;
-  for (size_t s = 0; s < strat_.ruleStrata.size(); ++s) {
+  for (size_t s = 0; s < units.rules.size(); ++s) {
     if (run[s]) {
       ++dirtyStrata;
-      refired += strat_.ruleStrata[s].size();
+      refired += units.rules[s].size();
     } else {
       ++reused;
-      skipped += strat_.ruleStrata[s].size();
+      skipped += units.rules[s].size();
     }
   }
 

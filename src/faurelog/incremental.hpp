@@ -26,12 +26,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "datalog/analysis.hpp"
 #include "datalog/ast.hpp"
+#include "faurelog/compiled.hpp"
 #include "faurelog/eval.hpp"
 #include "faurelog/textio.hpp"
 #include "relational/database.hpp"
@@ -40,20 +41,33 @@
 namespace faure::fl {
 
 /// Everything retained from a completed epoch: the per-stratum derived
-/// c-tables, the per-rule delta indexes consulted when an edit arrives,
-/// and per-predicate provenance counts (how many rows each retained
-/// relation carries — the cheap summary the stats report).
+/// c-tables and per-predicate provenance counts (how many rows each
+/// retained relation carries — the cheap summary the stats report).
 struct IncrementalState {
   /// False until the first reevaluate() completes (or after an
   /// incomplete/degraded epoch, which poisons reuse).
   bool valid = false;
   /// Derived tables of the last complete epoch, keyed by predicate.
   std::map<std::string, rel::CTable> idb;
-  /// pred -> indices of rules with pred in their body: the delta index
-  /// that seeds the affected-predicate closure when pred changes.
-  std::map<std::string, std::vector<size_t>> bodyIndex;
   /// pred -> retained row count (provenance summary of `idb`).
   std::map<std::string, uint64_t> provenance;
+};
+
+/// The program-derived half of an engine, built once and shared by
+/// every engine forked from it (ScenarioSet): the compiled program, its
+/// refined evaluation partition, and the delta index.
+struct IncrementalProgram {
+  /// Compiles `program` against `schema` and refines its strata.
+  IncrementalProgram(dl::Program program, const rel::Database& schema);
+
+  CompiledProgram compiled;
+  /// The refined evaluation partition: the compiled negation strata
+  /// split into topologically-ordered SCC units, so independent rule
+  /// families can be skipped independently (eval.hpp StrataPlan).
+  Strata units;
+  /// Predicate id -> indices of rules with it in their body: the delta
+  /// index that seeds the affected-predicate closure when it changes.
+  std::vector<std::vector<size_t>> readers;
 };
 
 /// Cumulative counters across an engine's lifetime, mirrored into the
@@ -87,12 +101,19 @@ struct IncStats {
 /// any out-of-band change.
 class IncrementalEngine {
  public:
-  /// Throws EvalError when `opts` asks for simplifyResults (its solver
-  /// rewrites are global, so there is no sound per-stratum reuse).
-  /// Incrementality defaults to the FAURE_INCREMENTAL environment
-  /// variable — unset or any value but "0" means on.
+  /// Compiles `program` against `db` (CompiledProgram::compile's
+  /// errors). Throws EvalError when `opts` asks for simplifyResults (its
+  /// solver rewrites are global, so there is no sound per-stratum
+  /// reuse). Incrementality defaults to the FAURE_INCREMENTAL
+  /// environment variable — unset or any value but "0" means on.
   IncrementalEngine(dl::Program program, rel::Database& db,
                     smt::SolverBase* solver, EvalOptions opts = {});
+
+  /// An engine over an already compiled program (another engine's
+  /// program(), for a fork): nothing is recompiled.
+  IncrementalEngine(std::shared_ptr<const IncrementalProgram> program,
+                    rel::Database& db, smt::SolverBase* solver,
+                    EvalOptions opts = {});
 
   /// Toggles delta propagation. Off = the full-recompute oracle: every
   /// reevaluate() runs every stratum (retained state is still updated,
@@ -135,29 +156,24 @@ class IncrementalEngine {
   /// engines must be built over the same program, and this engine's
   /// database must currently equal the EDB the adopted state was
   /// derived from (ScenarioSet guarantees both by construction: forks
-  /// clone the base database and share the base program). The delta
-  /// index is program-derived and kept; tables are copied, carrying
-  /// their persistent JoinIndexes.
+  /// clone the base database and share the base program). Tables are
+  /// copied, carrying their persistent JoinIndexes.
   void adoptState(const IncrementalState& state);
 
+  /// The compiled program every epoch evaluates.
+  const std::shared_ptr<const IncrementalProgram>& program() const {
+    return program_;
+  }
   const IncrementalState& state() const { return state_; }
   const IncStats& stats() const { return inc_; }
   /// Predicates edited since the last reevaluate().
   const std::set<std::string>& pendingDirty() const { return dirty_; }
 
  private:
-  std::vector<char> planStrata(const std::set<std::string>& affected) const;
-
-  dl::Program p_;
+  std::shared_ptr<const IncrementalProgram> program_;
   rel::Database& db_;
   smt::SolverBase* solver_;
   EvalOptions opts_;
-  /// The refined evaluation partition: dl::stratify's negation strata
-  /// split into topologically-ordered SCC units, so independent rule
-  /// families can be skipped independently (eval.hpp StrataPlan).
-  dl::Stratification strat_;
-  /// Head predicates per unit (dedup'd), aligned with ruleStrata.
-  std::vector<std::set<std::string>> stratumHeads_;
   bool enabled_ = true;
   IncrementalState state_;
   IncStats inc_;

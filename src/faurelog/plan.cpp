@@ -19,11 +19,10 @@ PlanMode resolvePlanMode(const std::optional<PlanMode>& opt) {
   return PlanMode::On;
 }
 
-RuleShape RuleShape::analyze(
-    const dl::Rule& rule,
-    const std::unordered_map<std::string, size_t>& slotOf) {
+RuleShape RuleShape::analyze(const dl::Rule& rule,
+                             const std::vector<std::string>& vars) {
   RuleShape shape;
-  shape.slotCount = slotOf.size();
+  shape.slotCount = vars.size();
   shape.binders.resize(shape.slotCount);
   shape.occurrences.resize(shape.slotCount);
   // Replay the serial evaluator's bound-variable progression so every
@@ -40,7 +39,8 @@ RuleShape RuleShape::analyze(
       const dl::Term& t = lit.atom.args[a];
       Arg arg;
       if (t.isVar()) {
-        arg.slot = slotOf.at(t.var);
+        arg.slot = static_cast<size_t>(
+            std::find(vars.begin(), vars.end(), t.var) - vars.begin());
         shape.occurrences[arg.slot].emplace_back(litPos, a);
         if (nowBound[arg.slot]) {
           arg.kind = Arg::Kind::BoundVar;

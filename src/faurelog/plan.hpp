@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,12 +41,12 @@ enum class PlanMode { Off, On, Explain };
 /// anything else → On). Unset everywhere defaults to On.
 PlanMode resolvePlanMode(const std::optional<PlanMode>& opt);
 
-/// Static join structure of one rule, mirroring exactly how the serial
-/// evaluator classifies argument positions (eval.cpp joinLiteral): per
-/// positive literal, per argument, whether it is a fixed value, a
-/// variable bound earlier (by a previous literal or a previous argument
-/// of the same literal), or the binding occurrence. Computed once per
-/// rule and cached by the evaluator.
+/// Static join structure of one rule, the classification the serial
+/// join (eval.cpp joinLiteral) binds and tests by: per positive
+/// literal, per argument, whether it is a fixed value, a variable bound
+/// earlier (by a previous literal or a previous argument of the same
+/// literal), or the binding occurrence. Computed once per rule by
+/// CompiledProgram::compile.
 struct RuleShape {
   struct Arg {
     enum class Kind { Fixed, BoundVar, FreeVar } kind = Kind::Fixed;
@@ -74,9 +73,9 @@ struct RuleShape {
   /// Per slot: every (literal position, arg) occurrence, program order.
   std::vector<std::vector<std::pair<size_t, size_t>>> occurrences;
 
-  static RuleShape analyze(
-      const dl::Rule& rule,
-      const std::unordered_map<std::string, size_t>& slotOf);
+  /// `vars` maps slots to variable names (dl::ruleVariables order).
+  static RuleShape analyze(const dl::Rule& rule,
+                           const std::vector<std::string>& vars);
 };
 
 /// One key column of a planned probe and where its value comes from: a

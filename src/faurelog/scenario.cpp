@@ -72,8 +72,7 @@ std::vector<Scenario> parseScenarioFile(std::string_view text) {
 
 ScenarioSet::ScenarioSet(dl::Program program, rel::Database base,
                          ScenarioSetOptions opts)
-    : p_(std::move(program)),
-      base_(std::make_unique<rel::Database>(std::move(base))),
+    : base_(std::make_unique<rel::Database>(std::move(base))),
       opts_(std::move(opts)) {
   if (opts_.cacheEntries > 0) {
     cache_ = std::make_unique<smt::VerdictCache>(base_->cvars(),
@@ -81,6 +80,8 @@ ScenarioSet::ScenarioSet(dl::Program program, rel::Database base,
   }
   // Fail fast on a bad solver name instead of from a worker thread.
   makeForkSolver();
+  program_ =
+      std::make_shared<const IncrementalProgram>(std::move(program), *base_);
 }
 
 std::unique_ptr<smt::SolverBase> ScenarioSet::makeForkSolver() {
@@ -107,7 +108,7 @@ const EvalResult& ScenarioSet::prepare() {
     eopts.guard = &guard;
     solver->setGuard(&guard);
   }
-  IncrementalEngine eng(p_, *base_, solver.get(), eopts);
+  IncrementalEngine eng(program_, *base_, solver.get(), eopts);
   if (opts_.mode >= 0) eng.setIncremental(opts_.mode == 1);
   baseResult_ = eng.reevaluate();
   baseState_ = eng.state();
@@ -153,7 +154,7 @@ ScenarioOutcome ScenarioSet::evaluateOne(const Scenario& s) {
     eopts.guard = &guard;
     solver->setGuard(&guard);
   }
-  IncrementalEngine eng(p_, fork, solver.get(), eopts);
+  IncrementalEngine eng(program_, fork, solver.get(), eopts);
   if (opts_.mode >= 0) eng.setIncremental(opts_.mode == 1);
   eng.adoptState(baseState_);
   try {

@@ -14,9 +14,9 @@
 // ids, tables and their persistent JoinIndexes survive the copy) plus a
 // copy of the retained per-stratum c-tables, so its first reevaluation
 // re-fires only the strata its own edits reach. Forks share the
-// read-only parts — the program, the process-wide FormulaInterner, and
-// one mutex-protected VerdictCache — so scenario verdicts dedupe
-// across the whole set.
+// read-only parts — the program, compiled once when the set is built,
+// the process-wide FormulaInterner, and one mutex-protected
+// VerdictCache — so scenario verdicts dedupe across the whole set.
 //
 // Isolation and determinism contract:
 //   * outcome bytes are identical to running each scenario's edit
@@ -102,8 +102,9 @@ std::vector<Scenario> parseScenarioFile(std::string_view text);
 class ScenarioSet {
  public:
   /// Takes ownership of the base snapshot; `program` must be parsed
-  /// against its registry. Throws EvalError for an unknown solver name
-  /// or an unstratifiable program (via the base engine).
+  /// against its registry. Compiles the program once for the base run
+  /// and every fork; throws EvalError for an unknown solver name or a
+  /// program that does not compile (CompiledProgram::compile).
   ScenarioSet(dl::Program program, rel::Database base,
               ScenarioSetOptions opts = {});
 
@@ -126,12 +127,16 @@ class ScenarioSet {
       const std::vector<Scenario>& scenarios);
 
   const rel::Database& base() const { return *base_; }
+  /// The compiled program the base run and every fork evaluate.
+  const std::shared_ptr<const IncrementalProgram>& program() const {
+    return program_;
+  }
 
  private:
   std::unique_ptr<smt::SolverBase> makeForkSolver();
   ScenarioOutcome evaluateOne(const Scenario& s);
 
-  dl::Program p_;
+  std::shared_ptr<const IncrementalProgram> program_;
   /// Heap-held so the registry address is stable across ScenarioSet
   /// moves: the shared cache and every fork solver hold references
   /// into it.

@@ -1,5 +1,6 @@
 #include "util/resource_guard.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 
@@ -19,6 +20,14 @@ uint64_t envU64(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return 0;
   return std::strtoull(s, nullptr, 10);
+}
+
+/// The shortest decimal that reads back as `v`: 0.05 renders "0.05",
+/// not std::to_string's "0.050000".
+std::string shortestDecimal(double v) {
+  char buf[32];
+  auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace
@@ -105,7 +114,7 @@ std::string ResourceGuard::reason() const {
   auto limit = [&](const std::string& text) { out += "(limit=" + text + ")"; };
   switch (t) {
     case Budget::Deadline:
-      limit(std::to_string(limits_.deadlineSeconds) + "s");
+      limit(shortestDecimal(limits_.deadlineSeconds) + "s");
       break;
     case Budget::Steps:
       limit(std::to_string(limits_.maxSteps));

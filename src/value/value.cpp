@@ -165,10 +165,17 @@ size_t hashValues(const std::vector<Value>& vals) {
   return h;
 }
 
+CVarRegistry CVarRegistry::extending(const CVarRegistry& base) {
+  CVarRegistry reg;
+  reg.base_ = &base;
+  reg.baseSize_ = base.size();
+  return reg;
+}
+
 CVarId CVarRegistry::declare(std::string_view name, ValueType type,
                              std::vector<Value> domain) {
   std::string key(name);
-  if (index_.count(key) != 0) {
+  if (find(key) != kNotFound) {
     throw TypeError("c-variable '" + key + "' already declared");
   }
   for (const auto& v : domain) {
@@ -176,7 +183,7 @@ CVarId CVarRegistry::declare(std::string_view name, ValueType type,
       throw TypeError("domain of '" + key + "' must contain constants only");
     }
   }
-  CVarId id = static_cast<CVarId>(vars_.size());
+  CVarId id = static_cast<CVarId>(size());
   vars_.push_back(Info{key, type, std::move(domain)});
   index_.emplace(std::move(key), id);
   return id;
@@ -196,44 +203,56 @@ CVarId CVarRegistry::declareFresh(std::string_view stem, ValueType type,
   std::string base(stem);
   std::string name = base;
   int suffix = 0;
-  while (index_.count(name) != 0) {
+  while (find(name) != kNotFound) {
     name = base + std::to_string(++suffix);
   }
   return declare(name, type, std::move(domain));
 }
 
 void CVarRegistry::setDomain(CVarId id, std::vector<Value> domain) {
-  if (id >= vars_.size()) throw TypeError("unknown c-variable id");
+  if (id >= size()) throw TypeError("unknown c-variable id");
+  if (id < baseSize_) {
+    throw TypeError("c-variable '" + info(id).name +
+                    "' belongs to the registry this one extends");
+  }
+  Info& var = vars_[id - baseSize_];
   for (const auto& v : domain) {
     if (!v.isConstant()) {
-      throw TypeError("domain of '" + vars_[id].name +
+      throw TypeError("domain of '" + var.name +
                       "' must contain constants only");
     }
   }
-  vars_[id].domain = std::move(domain);
+  var.domain = std::move(domain);
   ++mutationEpoch_;
 }
 
 CVarId CVarRegistry::find(std::string_view name) const {
   auto it = index_.find(std::string(name));
-  return it == index_.end() ? kNotFound : it->second;
+  if (it != index_.end()) return it->second;
+  if (base_ != nullptr) {
+    CVarId id = base_->find(name);
+    if (id < baseSize_) return id;
+  }
+  return kNotFound;
 }
 
 const CVarRegistry::Info& CVarRegistry::info(CVarId id) const {
-  if (id >= vars_.size()) throw TypeError("unknown c-variable id");
-  return vars_[id];
+  if (id < baseSize_) return base_->info(id);
+  if (id >= size()) throw TypeError("unknown c-variable id");
+  return vars_[id - baseSize_];
 }
 
 bool CVarRegistry::allFinite() const {
-  for (const auto& v : vars_) {
-    if (v.domain.empty()) return false;
+  for (CVarId id = 0; id < size(); ++id) {
+    if (info(id).domain.empty()) return false;
   }
   return true;
 }
 
 uint64_t CVarRegistry::worldCount(uint64_t cap) const {
   uint64_t count = 1;
-  for (const auto& v : vars_) {
+  for (CVarId id = 0; id < size(); ++id) {
+    const Info& v = info(id);
     if (v.domain.empty()) return 0;
     if (count > cap / v.domain.size()) return cap;
     count *= v.domain.size();

@@ -166,6 +166,15 @@ class CVarRegistry {
     std::vector<Value> domain;
   };
 
+  CVarRegistry() = default;
+
+  /// A registry that extends `base` without copying it: ids below
+  /// base.size() are base's variables (same names, types and domains),
+  /// and later declarations get exactly the ids a copy of `base` would
+  /// give them. `base` must outlive the overlay and must not change
+  /// while the overlay is in use.
+  static CVarRegistry extending(const CVarRegistry& base);
+
   /// Declares a fresh c-variable. Throws TypeError if `name` is already
   /// declared.
   CVarId declare(std::string_view name, ValueType type,
@@ -184,12 +193,13 @@ class CVarRegistry {
   CVarId find(std::string_view name) const;
 
   const Info& info(CVarId id) const;
-  size_t size() const { return vars_.size(); }
+  size_t size() const { return baseSize_ + vars_.size(); }
 
   /// Replaces the finite domain of an already-declared variable (empty =
   /// unbounded). Changing an existing variable's semantics can flip the
   /// verdict of any formula mentioning it, so this bumps mutationEpoch().
-  /// Throws TypeError on an unknown id or a non-constant domain element.
+  /// Throws TypeError on an unknown id, a non-constant domain element, or
+  /// a variable an overlay inherits from its base.
   void setDomain(CVarId id, std::vector<Value> domain);
 
   /// Incremented by every mutation of an *existing* variable (setDomain).
@@ -197,7 +207,9 @@ class CVarRegistry {
   /// declaration cannot mention the new variable, so no cached verdict
   /// about it can be stale. smt::VerdictCache compares this to decide
   /// when to invalidate.
-  uint64_t mutationEpoch() const { return mutationEpoch_; }
+  uint64_t mutationEpoch() const {
+    return mutationEpoch_ + (base_ != nullptr ? base_->mutationEpoch() : 0);
+  }
 
   /// True if every declared variable has a finite domain, i.e. the set of
   /// possible worlds is enumerable.
@@ -208,7 +220,10 @@ class CVarRegistry {
   uint64_t worldCount(uint64_t cap = UINT64_MAX) const;
 
  private:
-  std::vector<Info> vars_;
+  /// Overlay (extending()): variables [0, baseSize_) live in *base_.
+  const CVarRegistry* base_ = nullptr;
+  size_t baseSize_ = 0;
+  std::vector<Info> vars_;  // ids baseSize_ + i
   std::unordered_map<std::string, CVarId> index_;
   uint64_t mutationEpoch_ = 0;
 };

@@ -1,7 +1,7 @@
 #include "verify/containment.hpp"
 
+#include <functional>
 #include <memory>
-#include <set>
 #include <unordered_map>
 
 #include "faurelog/eval.hpp"
@@ -83,36 +83,37 @@ rel::Schema anySchema(const std::string& name, size_t arity) {
   return rel::Schema(name, attrs);
 }
 
-/// The relations `constraintUnion` reads positively but never defines,
-/// each with the arity of its first occurrence, in order of appearance.
-/// A canonical database that does not mention one holds it empty, not
-/// unknown.
-std::vector<rel::Schema> undefinedReads(const dl::Program& constraintUnion) {
-  std::set<std::string> idb;
-  for (const auto& rule : constraintUnion.rules) idb.insert(rule.head.pred);
-  std::set<std::string> seen;
-  std::vector<rel::Schema> out;
-  for (const auto& rule : constraintUnion.rules) {
-    for (const auto& lit : rule.body) {
-      if (!lit.negated && idb.count(lit.atom.pred) == 0 &&
-          seen.insert(lit.atom.pred).second) {
-        out.push_back(anySchema(lit.atom.pred, lit.atom.args.size()));
+/// The constraint union, compiled once per subsumption test when the
+/// first goal rule needs it, and the relations it reads positively but
+/// never defines: a canonical database that does not mention one holds
+/// it empty, not unknown.
+struct CompiledUnion {
+  explicit CompiledUnion(dl::Program program)
+      : compiled(fl::CompiledProgram::compile(std::move(program))) {
+    for (uint32_t id = 0; id < compiled.predicateCount(); ++id) {
+      if (!compiled.defined(id) && compiled.readPositively(id)) {
+        emptyReads.push_back(
+            anySchema(compiled.predName(id), compiled.arity(id)));
       }
     }
   }
-  return out;
-}
+
+  fl::CompiledProgram compiled;
+  std::vector<rel::Schema> emptyReads;
+};
 
 /// Checks coverage of one frozen target rule by the constraint union,
-/// whose undefined positive reads `emptyReads` lists (undefinedReads).
-/// Sets *incomplete when a resource budget tripped before the answer was
-/// decided (the returned "false" then means UNKNOWN, not uncovered).
-bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
-                 const std::vector<rel::Schema>& emptyReads,
-                 const CVarRegistry& srcReg,
-                 const SubsumptionOptions& opts, bool* incomplete) {
+/// which `constraintUnion` compiles on first use. Sets *incomplete when a
+/// resource budget tripped before the answer was decided (the returned
+/// "false" then means UNKNOWN, not uncovered).
+bool ruleCovered(const Rule& r,
+                 const std::function<const CompiledUnion&()>& constraintUnion,
+                 const CVarRegistry& srcReg, const SubsumptionOptions& opts,
+                 bool* incomplete) {
   rel::Database canonical;
-  canonical.cvars() = srcReg;  // preserve c-var ids, types and domains
+  // Preserve c-var ids, types and domains without copying the source
+  // registry: frozen variables extend it.
+  canonical.cvars() = CVarRegistry::extending(srcReg);
   Freezer fz(canonical.cvars());
 
   fl::NegativeFacts negatives;
@@ -134,10 +135,6 @@ bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
   for (const auto& cmp : r.cmps) premiseParts.push_back(linToFormula(cmp, fz));
   smt::Formula premise = smt::Formula::conj(std::move(premiseParts));
 
-  for (const rel::Schema& schema : emptyReads) {
-    if (!canonical.has(schema.name())) canonical.create(schema);
-  }
-
   // Universal variables: everything the frozen rule itself mentions.
   std::vector<CVarId> universal;
   for (const auto& [name, table] : canonical.tables()) {
@@ -157,9 +154,9 @@ bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
   smt::NativeSolver solver(canonical.cvars(), opts.solverOptions);
   solver.setGuard(opts.guard);
   solver.setTracer(opts.tracer);
-  // The canonical database clones the source registry and then freezes
-  // rule-local variables into it, so a session-level cache (bound to the
-  // *source* registry) cannot be shared here; a rule-local cache still
+  // The canonical database extends the source registry with rule-local
+  // frozen variables, so a session-level cache (bound to the *source*
+  // registry) cannot be shared here; a rule-local cache still
   // amortizes the repeated conditions of the constraint-union fixpoint
   // and the final premise-implication below.
   size_t cacheCap = opts.solverCacheCapacity.value_or(
@@ -173,11 +170,15 @@ bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
     return true;  // the target rule can never fire: vacuously covered
   }
 
+  const CompiledUnion& cu = constraintUnion();
+  for (const rel::Schema& schema : cu.emptyReads) {
+    if (!canonical.has(schema.name())) canonical.create(schema);
+  }
   fl::EvalOptions evalOpts;
   evalOpts.openWorldNegation = &negatives;
   evalOpts.guard = opts.guard;
   evalOpts.tracer = opts.tracer;
-  auto res = fl::evalFaure(constraintUnion, canonical, &solver, evalOpts);
+  auto res = fl::evalFaure(cu.compiled, canonical, &solver, evalOpts);
   if (res.incomplete) {
     *incomplete = true;
     return false;
@@ -212,14 +213,21 @@ SubsumptionResult subsumes(const Constraint& target,
                            const std::vector<Constraint>& constraints,
                            const CVarRegistry& srcReg,
                            const SubsumptionOptions& opts) {
-  // Built once, in constraint order: every goal rule below evaluates
-  // the same union.
-  dl::Program constraintUnion;
-  size_t unionRules = 0;
-  for (const auto& c : constraints) unionRules += c.program.rules.size();
-  constraintUnion.rules.reserve(unionRules);
-  for (const auto& c : constraints) constraintUnion.append(c.program);
-  const std::vector<rel::Schema> emptyReads = undefinedReads(constraintUnion);
+  // Built and compiled once, in constraint order, when the first goal
+  // rule reaches evaluation: every goal rule below evaluates the same
+  // union.
+  std::optional<CompiledUnion> compiledUnion;
+  auto constraintUnion = [&]() -> const CompiledUnion& {
+    if (!compiledUnion) {
+      dl::Program u;
+      size_t unionRules = 0;
+      for (const auto& c : constraints) unionRules += c.program.rules.size();
+      u.rules.reserve(unionRules);
+      for (const auto& c : constraints) u.append(c.program);
+      compiledUnion.emplace(std::move(u));
+    }
+    return *compiledUnion;
+  };
   std::vector<Rule> flat =
       unfoldGoalRules(target.program, Constraint::kGoal, opts.maxUnfoldRules);
 
@@ -237,8 +245,8 @@ SubsumptionResult subsumes(const Constraint& target,
                            "verify.rule[" + std::to_string(i) + "]");
     }
     bool incomplete = false;
-    bool covered = ruleCovered(flat[i], constraintUnion, emptyReads, srcReg,
-                               opts, &incomplete);
+    bool covered =
+        ruleCovered(flat[i], constraintUnion, srcReg, opts, &incomplete);
     if (ruleSpan) {
       ruleSpan.note("covered", covered ? "true" : "false");
       if (incomplete) ruleSpan.note("incomplete", "true");

@@ -309,6 +309,36 @@ TEST(SessionTest, SupervisionEnvironmentActivatesAtConstruction) {
   EXPECT_EQ(normal.failoverSolver(), nullptr);
 }
 
+TEST(SessionTest, ScenarioForksInheritSupervision) {
+  // A per-check timeout no native check can meet, with failover: every
+  // supervised check fails over, which the supervisor counts. The forks
+  // must run under the session's supervision, not on bare solvers.
+  clearSupervisionEnv();
+  Session s;
+  obs::Tracer tracer;
+  s.setTracer(&tracer);
+  s.load(kSupervisionDb);
+  smt::SupervisionOptions sup;
+  sup.failover = true;
+  sup.timeoutMs = 1e-9;
+  s.setSupervision(sup);
+  fl::ScenarioSet set = s.scenarios(kSupervisionProgram);
+  std::vector<fl::ScenarioOutcome> out =
+      set.evaluate({{"1", "+F(f0, 3, 4)\n"}});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].exitCode, 0) << out[0].message;
+  EXPECT_GT(tracer.metrics().snapshot().counter("solver.supervise.failovers"),
+            0u);
+
+  // Failover is output-transparent: the same scenario unsupervised.
+  Session plain;
+  plain.load(kSupervisionDb);
+  fl::ScenarioSet bare = plain.scenarios(kSupervisionProgram);
+  std::vector<fl::ScenarioOutcome> want =
+      bare.evaluate({{"1", "+F(f0, 3, 4)\n"}});
+  EXPECT_EQ(out[0].output, want[0].output);
+}
+
 TEST(SessionTest, WatchDeltaApiReevaluatesIncrementally) {
   Session s;
   s.load(

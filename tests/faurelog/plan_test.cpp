@@ -25,10 +25,7 @@ namespace {
 
 RuleShape analyzeFirstRule(const dl::Program& program) {
   const dl::Rule& rule = program.rules.at(0);
-  std::vector<std::string> vars = dl::ruleVariables(rule);
-  std::unordered_map<std::string, size_t> slotOf;
-  for (size_t i = 0; i < vars.size(); ++i) slotOf[vars[i]] = i;
-  return RuleShape::analyze(rule, slotOf);
+  return RuleShape::analyze(rule, dl::ruleVariables(rule));
 }
 
 class PlanShapeTest : public ::testing::Test {

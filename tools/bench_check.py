@@ -25,7 +25,12 @@ serial wall of the smallest common size is taken as the machine's speed
 unit, every comparison is done on times rescaled by that unit, and the
 calibration entry itself is exempt. A genuine O(...) regression moves
 the rescaled ratio no matter how fast the runner is; a uniformly
-slower runner moves nothing.
+slower runner moves nothing. The join family calibrates each entry
+against its own non-engine probe instead (`join[N].probe_seconds`,
+timed by the harness before each of that entry's evaluations and kept
+in the baseline's `probes`), so no entry is exempt, a faster join path
+cannot move the unit, and a host slowdown during one entry's window
+moves that entry's probe too.
 
     bench_check.py --current BENCH_table4.json \
         --baseline bench/baseline_table4.json \
@@ -108,6 +113,9 @@ FAMILIES = {
         "variant": "noplan",
         "example": "join[600].wall_seconds",
         "harness": "bench/join_planner",
+        "probe": re.compile(
+            r"^join\[(\d+)\]\.(?:()(noplan)\.)?probe_seconds$"
+        ),
     },
     "scenario": {
         "wall": re.compile(
@@ -121,7 +129,9 @@ FAMILIES = {
 
 
 def extract(report_path, family):
-    """-> {(size, threads, variant): wall_seconds} from a run report.
+    """-> ({(size, threads, variant): wall_seconds}, probes) from a run
+    report; probes maps the same keys to probe seconds, or is None for
+    families without a per-entry probe.
 
     table4 records one row per size (solver verdict cache on) and one
     `nocache.` control; the
@@ -130,21 +140,30 @@ def extract(report_path, family):
     """
     spec = FAMILIES[family]
     report = load_json(report_path, "current", family)
+    gauges = report.get("metrics", {}).get("gauges", {})
     walls = {}
-    for name, value in report.get("metrics", {}).get("gauges", {}).items():
-        m = spec["wall"].match(name)
-        if m:
-            size = int(m.group(1))
-            threads = int(m.group(2)) if m.group(2) else 1
-            variant = m.group(3) is not None
-            walls[(size, threads, variant)] = float(value)
+    probes = {} if "probe" in spec else None
+    for name, value in gauges.items():
+        for pattern, out in ((spec["wall"], walls),
+                             (spec.get("probe"), probes)):
+            m = pattern.match(name) if pattern is not None else None
+            if m:
+                size = int(m.group(1))
+                threads = int(m.group(2)) if m.group(2) else 1
+                variant = m.group(3) is not None
+                out[(size, threads, variant)] = float(value)
     if not walls:
         fail(
             f"no {family}[...].wall_seconds gauges in {report_path}",
             f"is this really a {family} harness report? expected "
             f"metrics.gauges keys like `{spec['example']}`",
         )
-    return walls
+    if probes is not None and set(probes) != set(walls):
+        fail(
+            f"{report_path} lacks a probe_seconds gauge for some entry",
+            f"rebuild and rerun `{spec['harness']}`, which records them",
+        )
+    return walls, probes
 
 
 def key_str(key, variant_label):
@@ -180,7 +199,7 @@ def main():
     opts = parser.parse_args()
 
     variant = FAMILIES[opts.family]["variant"]
-    current = extract(opts.current, opts.family)
+    current, probes_now = extract(opts.current, opts.family)
     if opts.update:
         payload = {
             "comment": "regenerate with: bench_check.py --update "
@@ -190,6 +209,10 @@ def main():
                 key_str(k, variant): v for k, v in sorted(current.items())
             },
         }
+        if probes_now is not None:
+            payload["probes"] = {
+                key_str(k, variant): v for k, v in sorted(probes_now.items())
+            }
         with open(opts.baseline, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -209,18 +232,22 @@ def main():
             "point --baseline at the matching file or re-record it with "
             "`bench_check.py --update --family " + opts.family + "`",
         )
-    baseline = {}
-    for text, value in baseline_doc["walls"].items():
-        m = re.match(rf"size=(\d+) threads=(\d+)( {variant})?$", text)
-        if m is None:
-            fail(
-                f"baseline {opts.baseline} has an unparseable entry key: "
-                f"{text!r}",
-                "expected keys like `size=8 threads=2`; regenerate with "
-                "`bench_check.py --update`",
-            )
-        key = (int(m.group(1)), int(m.group(2)), m.group(3) is not None)
-        baseline[key] = float(value)
+    def parse_entries(field):
+        entries = {}
+        for text, value in baseline_doc.get(field, {}).items():
+            m = re.match(rf"size=(\d+) threads=(\d+)( {variant})?$", text)
+            if m is None:
+                fail(
+                    f"baseline {opts.baseline} has an unparseable entry "
+                    f"key: {text!r}",
+                    "expected keys like `size=8 threads=2`; regenerate "
+                    "with `bench_check.py --update`",
+                )
+            key = (int(m.group(1)), int(m.group(2)), m.group(3) is not None)
+            entries[key] = float(value)
+        return entries
+
+    baseline = parse_entries("walls")
 
     common = sorted(set(current) & set(baseline))
     missing = sorted(set(baseline) - set(current))
@@ -232,21 +259,35 @@ def main():
             "invocation",
         )
 
-    # Calibration unit: cached serial wall of the smallest common size.
-    serial = [k for k in common if k[1] == 1 and not k[2]]
-    if not serial:
-        fail(
-            "no common serial cached entry to calibrate against",
-            "both reports need at least one `size=N threads=1` row "
-            "(no nocache suffix)",
-        )
-    cal = min(serial)
-    unit_now, unit_base = current[cal], baseline[cal]
+    if probes_now is not None:
+        # Calibration unit: each entry's own non-engine probe.
+        probes_base = parse_entries("probes")
+        if not set(common) <= set(probes_base):
+            fail(
+                f"baseline {opts.baseline} lacks `probes` for some entry",
+                "regenerate it with `bench_check.py --update --family "
+                + opts.family + "`",
+            )
+        cal = None
+    else:
+        # Calibration unit: cached serial wall of the smallest common size.
+        serial = [k for k in common if k[1] == 1 and not k[2]]
+        if not serial:
+            fail(
+                "no common serial cached entry to calibrate against",
+                "both reports need at least one `size=N threads=1` row "
+                "(no nocache suffix)",
+            )
+        cal = min(serial)
 
     rows, regressions = [], []
     for key in common:
-        ratio_now = current[key] / unit_now
-        ratio_base = baseline[key] / unit_base
+        if cal is None:
+            ratio_now = current[key] / probes_now[key]
+            ratio_base = baseline[key] / probes_base[key]
+        else:
+            ratio_now = current[key] / current[cal]
+            ratio_base = baseline[key] / baseline[cal]
         drift = ratio_now / ratio_base - 1.0
         verdict = "calibration" if key == cal else (
             "REGRESSED" if drift > opts.tolerance else
@@ -277,7 +318,10 @@ def main():
                 {
                     "schema": "faure.bench_diff/1",
                     "tolerance": opts.tolerance,
-                    "calibration_entry": key_str(cal, variant),
+                    "calibration_entry": (
+                        key_str(cal, variant) if cal is not None
+                        else "per-entry probe"
+                    ),
                     "rows": rows,
                     "missing": [key_str(k, variant) for k in missing],
                 },

@@ -1,7 +1,6 @@
 #include "datalog/analysis.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/error.hpp"
 
@@ -33,36 +32,47 @@ std::vector<std::string> ruleVariables(const Rule& r) {
 }
 
 Stratification stratify(const Program& p) {
-  // Collect IDB predicates; everything else is EDB (stratum "-1", treated
-  // as 0 with no constraints).
-  std::set<std::string> idb;
-  for (const auto& r : p.rules) idb.insert(r.head.pred);
-
-  std::unordered_map<std::string, int> stratum;
-  for (const auto& pred : idb) stratum[pred] = 0;
+  // IDB predicates get dense ids, so the fixpoint below looks no name
+  // up; everything else is EDB (stratum "-1", treated as 0 with no
+  // constraints).
+  std::unordered_map<std::string, size_t> idb;
+  std::vector<size_t> head(p.rules.size());
+  for (size_t i = 0; i < p.rules.size(); ++i) {
+    head[i] = idb.try_emplace(p.rules[i].head.pred, idb.size()).first->second;
+  }
+  struct Dep {
+    size_t pred;
+    bool negated;
+  };
+  std::vector<std::vector<Dep>> deps(p.rules.size());
+  for (size_t i = 0; i < p.rules.size(); ++i) {
+    for (const auto& lit : p.rules[i].body) {
+      auto it = idb.find(lit.atom.pred);
+      if (it != idb.end()) deps[i].push_back(Dep{it->second, lit.negated});
+    }
+  }
 
   // Fixpoint of the standard constraints:
   //   positive dep:  stratum[head] >= stratum[body]
   //   negative dep:  stratum[head] >= stratum[body] + 1
   // If a stratum exceeds |IDB| the constraints have a cycle through
   // negation.
+  std::vector<int> stratum(idb.size(), 0);
   const int limit = static_cast<int>(idb.size());
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const auto& r : p.rules) {
-      int& h = stratum[r.head.pred];
-      for (const auto& lit : r.body) {
-        if (idb.count(lit.atom.pred) == 0) continue;
-        int b = stratum[lit.atom.pred];
-        int need = lit.negated ? b + 1 : b;
+    for (size_t i = 0; i < p.rules.size(); ++i) {
+      int& h = stratum[head[i]];
+      for (const Dep& d : deps[i]) {
+        int need = d.negated ? stratum[d.pred] + 1 : stratum[d.pred];
         if (h < need) {
           h = need;
           if (h > limit) {
             throw EvalError(
                 "program is not stratifiable (recursion through negation "
                 "involving '" +
-                r.head.pred + "')");
+                p.rules[i].head.pred + "')");
           }
           changed = true;
         }
@@ -71,28 +81,32 @@ Stratification stratify(const Program& p) {
   }
 
   Stratification s;
-  s.stratumOf = stratum;
   int maxStratum = 0;
-  for (const auto& [pred, st] : stratum) maxStratum = std::max(maxStratum, st);
+  for (const auto& [pred, id] : idb) {
+    s.stratumOf.emplace(pred, stratum[id]);
+    maxStratum = std::max(maxStratum, stratum[id]);
+  }
   s.ruleStrata.assign(static_cast<size_t>(maxStratum) + 1, {});
   for (size_t i = 0; i < p.rules.size(); ++i) {
-    s.ruleStrata[static_cast<size_t>(stratum[p.rules[i].head.pred])]
-        .push_back(i);
+    s.ruleStrata[static_cast<size_t>(stratum[head[i]])].push_back(i);
   }
   return s;
 }
 
 void checkSafety(const Program& p) {
   for (const auto& r : p.rules) {
-    std::set<std::string> positive;
+    // Rules have few variables: a scan beats a node-based set.
+    std::vector<const std::string*> positive;
     for (const auto& lit : r.body) {
       if (lit.negated) continue;
       for (const auto& t : lit.atom.args) {
-        if (t.isVar()) positive.insert(t.var);
+        if (t.isVar()) positive.push_back(&t.var);
       }
     }
     auto require = [&](const Term& t, const char* where) {
-      if (t.isVar() && positive.count(t.var) == 0) {
+      if (t.isVar() &&
+          std::none_of(positive.begin(), positive.end(),
+                       [&](const std::string* v) { return *v == t.var; })) {
         throw EvalError("unsafe rule (" + r.toString() + "): variable '" +
                         t.var + "' in " + where +
                         " is not bound by a positive body literal");
@@ -121,7 +135,7 @@ void checkArities(
     const std::unordered_map<std::string, size_t>& externalArity) {
   std::unordered_map<std::string, size_t> arity = externalArity;
   auto use = [&](const Atom& a) {
-    auto [it, inserted] = arity.emplace(a.pred, a.args.size());
+    auto [it, inserted] = arity.try_emplace(a.pred, a.args.size());
     if (!inserted && it->second != a.args.size()) {
       throw EvalError("predicate '" + a.pred + "' used with arity " +
                       std::to_string(a.args.size()) + " and " +

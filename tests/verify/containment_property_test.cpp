@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "datalog/containment.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "verify/containment.hpp"
 
@@ -115,6 +116,34 @@ TEST(ConstraintUnion, SharedIdbNamesReportFirstUncoveredRule) {
   EXPECT_FALSE(r.incomplete);
   EXPECT_EQ(r.uncoveredRule, 1u);
   EXPECT_EQ(r.witness.toString(&reg), "panic :- R0(x, Web, v).");
+}
+
+/// The message of the EvalError `subsumes` throws ("" when it does not).
+std::string subsumesError(const char* target, const char* known) {
+  CVarRegistry reg;
+  try {
+    subsumes(Constraint{"t", dl::parseProgram(target, reg)},
+             {Constraint{"k", dl::parseProgram(known, reg)}}, reg);
+  } catch (const EvalError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The union is compiled once, before any canonical database exists
+// (DESIGN.md §13): its own faults come first, and its arities meet each
+// goal rule's canonical database when that rule evaluates.
+TEST(ConstraintUnion, CompileErrorsPrecedeCanonicalArityErrors) {
+  const char* target = "panic :- R(x, y).\n";
+  EXPECT_EQ(subsumesError(target, "panic :- R(a, b, c).\n"),
+            "eval error: predicate 'R' used with arity 3 and 2");
+  const char* cyclic =
+      "panic :- R(a, b, c), !P(a).\n"
+      "P(a) :- R(a, b, c), !Q(a).\n"
+      "Q(a) :- R(a, b, c), !P(a).\n";
+  EXPECT_EQ(subsumesError(target, cyclic),
+            "eval error: program is not stratifiable (recursion through "
+            "negation involving 'Q')");
 }
 
 }  // namespace
